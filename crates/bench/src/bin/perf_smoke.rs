@@ -162,9 +162,7 @@ fn guarded_record(label: &str, f: impl Fn()) -> HomRecord {
 /// The telemetry plane armed for the whole sweep: a live
 /// [`MetricsRegistry`] and [`FlightRecorder`] charged once per timed
 /// pass, mirroring the per-request bookkeeping the serve tier does
-/// (rolling-window observation + span-tree offer). The registry compiles
-/// unconditionally, so the obs-vs-no-obs A/B in EXPERIMENTS.md measures
-/// span instrumentation with the metrics plane active on both sides.
+/// (registry observation + span-tree offer).
 fn telemetry() -> &'static (MetricsRegistry, FlightRecorder) {
     static T: OnceLock<(MetricsRegistry, FlightRecorder)> = OnceLock::new();
     T.get_or_init(|| (MetricsRegistry::new(), FlightRecorder::new(250_000)))
@@ -181,9 +179,10 @@ fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> (T, Timing) {
     for _ in 0..runs {
         let t = Instant::now();
         let r = f();
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        let us = (ms * 1e3) as u64;
-        registry.observe_op("bench.pass", us, false);
+        let elapsed = t.elapsed();
+        let ms = elapsed.as_secs_f64() * 1e3;
+        let us = elapsed.as_micros() as u64;
+        registry.observe_op("bench.pass", elapsed, false);
         flight.offer(0, "bench.pass", us, SpanTree::root("bench.pass", us), None);
         min = min.min(ms);
         max = max.max(ms);

@@ -16,8 +16,7 @@ use omq_obs::{Aggregator, Recorder, Sink};
 
 /// Runs `f` once under a fresh recorder and returns its result plus the
 /// aggregated phases. `extra` sinks (e.g. a sweep-wide aggregator) see the
-/// same events. With the `obs` feature off the recorder is inert and the
-/// aggregator comes back empty.
+/// same events.
 pub fn instrumented_pass<T>(
     extra: &[Arc<dyn Sink>],
     f: impl FnOnce() -> T,
@@ -72,8 +71,14 @@ mod tests {
     #[test]
     fn phase_fields_render_sorted_and_sanitized() {
         let agg = Aggregator::new();
-        agg.record("chase.round", std::time::Duration::from_micros(50));
-        agg.record("chase", std::time::Duration::from_micros(80));
+        for (name, dur_us) in [("chase.round", 50), ("chase", 80)] {
+            agg.event(&omq_obs::Event::Exit {
+                id: 0,
+                name,
+                dur_ns: dur_us * 1_000,
+                trace: 0,
+            });
+        }
         let s = phase_fields(&agg);
         assert!(s.contains("\"phase_chase_us\": 80"));
         assert!(s.contains("\"phase_chase_round_us\": 50"));
@@ -84,7 +89,6 @@ mod tests {
         assert!(chase < round, "phases are emitted in sorted order");
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn instrumented_pass_captures_spans() {
         let (value, agg) = instrumented_pass(&[], || {

@@ -170,8 +170,7 @@ impl ChaseStats {
     }
 
     /// Mirrors the counters into the installed omq-obs recorder, once per
-    /// run (a no-op without a recorder, and compiled out entirely without
-    /// the `obs` feature).
+    /// run (a no-op without a recorder).
     pub fn emit_obs(&self) {
         if !omq_obs::active() {
             return;

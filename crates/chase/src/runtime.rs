@@ -144,7 +144,7 @@ pub fn parallel_indexed<S>(
     let next = AtomicUsize::new(0);
     // The obs recorder is thread-local; propagate the caller's recorder (if
     // any) into each worker so spans/counters from the pool attach to the
-    // same trace. A no-op without the `obs` feature.
+    // same trace.
     let recorder = omq_obs::current();
     std::thread::scope(|scope| {
         for _ in 0..threads.min(n) {

@@ -3,11 +3,9 @@
 //! keeps a short ring of recent trees plus a separate retained ring for
 //! the requests that matter after the fact — shed, timed out, or slower
 //! than a threshold — so a `trace_dump` can explain an incident without
-//! tracing having been pre-enabled.
-//!
-//! Like `metrics`, this module compiles unconditionally: in builds
-//! without the `enabled` feature the serve tier still offers synthetic
-//! root-only trees, so shed/timeout forensics survive `--no-default-features`.
+//! tracing having been pre-enabled. Requests whose spans were not
+//! captured (shed before execution, or run under an embedder's recorder)
+//! are offered as synthetic root-only trees.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,7 +42,7 @@ pub struct SpanTree {
 
 impl SpanTree {
     /// A synthetic single-root tree, for requests whose spans were not
-    /// captured (obs compiled out, shed before execution, ...).
+    /// captured (shed before execution, an embedder's recorder, ...).
     pub fn root(name: &'static str, dur_us: u64) -> SpanTree {
         SpanTree {
             spans: vec![SpanNode {

@@ -1,6 +1,6 @@
 //! # omq-obs
 //!
-//! Zero-overhead-when-disabled instrumentation core for the omq workspace:
+//! Instrumentation core for the omq workspace:
 //! hierarchical span timers, a typed counter registry, and a pluggable sink
 //! API with two built-in sinks (an in-memory [`Aggregator`] with log-scale
 //! latency histograms, and a [`JsonlSink`] trace-event writer).
@@ -10,10 +10,7 @@
 //! A [`Recorder`] owns a list of sinks and hands out monotonically increasing
 //! span ids. Recorders are *installed* per thread ([`install`]); the engine
 //! crates call [`span`] / [`counter`] unconditionally, and when no recorder is
-//! installed those calls are a single thread-local read. With the crate's
-//! `enabled` feature off (workspace `--no-default-features`), every entry
-//! point compiles to an empty inlined body — no thread-local, no clock reads,
-//! no atomics.
+//! installed those calls are a single thread-local read.
 //!
 //! Span names form a fixed taxonomy (see DESIGN.md §5): `chase`,
 //! `chase.round`, `hom.compile`, `hom.plan.cost`, `hom.probe`, `rewrite`,
@@ -33,10 +30,12 @@
 //! Multi-threaded runs produce the same multiset of events up to id
 //! renaming; `tests/determinism.rs` locks both properties in.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 pub mod flight;
 pub mod metrics;
@@ -49,8 +48,7 @@ pub const BUCKETS: usize = 40;
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Allocate a process-unique trace id (never 0 — 0 means "untraced" on
-/// events). Unconditional: ids exist even with `enabled` off, so the
-/// flight recorder and serve protocol can use them in every build.
+/// events).
 pub fn next_trace_id() -> u64 {
     NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed)
 }
@@ -166,9 +164,7 @@ impl PhaseAgg {
         self.total_ns += dur_ns;
         self.min_ns = self.min_ns.min(dur_ns);
         self.max_ns = self.max_ns.max(dur_ns);
-        let us = dur_ns / 1_000;
-        let idx = (u64::BITS - us.leading_zeros()) as usize;
-        self.buckets[idx.min(BUCKETS - 1)] += 1;
+        self.buckets[metrics::bucket_of_us(dur_ns / 1_000)] += 1;
     }
 
     /// Percentile estimate from the histogram, using log-linear
@@ -183,16 +179,6 @@ impl PhaseAgg {
     }
 }
 
-/// Raw histogram view of one phase, for Prometheus-style exposition
-/// (`_bucket`/`_sum`/`_count` series need the buckets, not quantiles).
-#[derive(Debug, Clone)]
-pub struct PhaseBuckets {
-    pub name: String,
-    pub buckets: [u64; BUCKETS],
-    pub count: u64,
-    pub total_ns: u64,
-}
-
 #[derive(Default)]
 struct AggInner {
     phases: BTreeMap<&'static str, PhaseAgg>,
@@ -200,9 +186,7 @@ struct AggInner {
 }
 
 /// In-memory aggregating sink: per-phase wall-clock histograms with fixed
-/// log-scale buckets, plus a counter map. Also usable directly (without a
-/// recorder) via [`Aggregator::record`] — the serve engine feeds its per-op
-/// latency histograms this way, so they exist even with `obs` compiled out.
+/// log-scale buckets, plus a counter map.
 #[derive(Default)]
 pub struct Aggregator {
     inner: Mutex<AggInner>,
@@ -211,11 +195,6 @@ pub struct Aggregator {
 impl Aggregator {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Record one duration sample under `name`.
-    pub fn record(&self, name: &'static str, dur: std::time::Duration) {
-        self.record_ns(name, dur.as_nanos() as u64);
     }
 
     fn record_ns(&self, name: &'static str, dur_ns: u64) {
@@ -250,21 +229,6 @@ impl Aggregator {
                 max_ns: agg.max_ns,
                 p50_us: agg.percentile_us(0.50),
                 p99_us: agg.percentile_us(0.99),
-            })
-            .collect()
-    }
-
-    /// All phases with their raw log-scale buckets, sorted by name.
-    pub fn raw_phases(&self) -> Vec<PhaseBuckets> {
-        let inner = self.inner.lock().unwrap();
-        inner
-            .phases
-            .iter()
-            .map(|(name, agg)| PhaseBuckets {
-                name: (*name).to_string(),
-                buckets: agg.buckets,
-                count: agg.count,
-                total_ns: agg.total_ns,
             })
             .collect()
     }
@@ -370,160 +334,165 @@ impl Sink for JsonlSink {
 }
 
 // ---------------------------------------------------------------------------
-// Recorder + thread-local install (real implementation)
+// Recorder + thread-local install
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use std::cell::RefCell;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::time::Instant;
+/// Owns the sinks and the span-id counter. Shared (`Arc`) across the
+/// threads participating in one instrumented run.
+pub struct Recorder {
+    next_id: AtomicU64,
+    trace: u64,
+    sinks: Vec<Arc<dyn Sink>>,
+}
 
-    use super::{Event, Sink};
-
-    /// Owns the sinks and the span-id counter. Shared (`Arc`) across the
-    /// threads participating in one instrumented run.
-    pub struct Recorder {
-        next_id: AtomicU64,
-        trace: u64,
-        sinks: Vec<Arc<dyn Sink>>,
+impl Recorder {
+    pub fn new(sinks: Vec<Arc<dyn Sink>>) -> Arc<Recorder> {
+        Recorder::with_trace(sinks, 0)
     }
 
-    impl Recorder {
-        pub fn new(sinks: Vec<Arc<dyn Sink>>) -> Arc<Recorder> {
-            Recorder::with_trace(sinks, 0)
-        }
+    /// A recorder whose every event carries `trace` as its trace id
+    /// (the serve tier allocates one per request via
+    /// [`crate::next_trace_id`]).
+    pub fn with_trace(sinks: Vec<Arc<dyn Sink>>, trace: u64) -> Arc<Recorder> {
+        Arc::new(Recorder {
+            next_id: AtomicU64::new(1),
+            trace,
+            sinks,
+        })
+    }
 
-        /// A recorder whose every event carries `trace` as its trace id
-        /// (the serve tier allocates one per request via
-        /// [`crate::next_trace_id`]).
-        pub fn with_trace(sinks: Vec<Arc<dyn Sink>>, trace: u64) -> Arc<Recorder> {
-            Arc::new(Recorder {
-                next_id: AtomicU64::new(1),
-                trace,
-                sinks,
-            })
-        }
-
-        fn emit(&self, ev: &Event) {
-            for sink in &self.sinks {
-                sink.event(ev);
-            }
+    fn emit(&self, ev: &Event) {
+        for sink in &self.sinks {
+            sink.event(ev);
         }
     }
+}
 
-    struct Local {
-        rec: Arc<Recorder>,
-        /// Open span ids on this thread, innermost last.
-        stack: Vec<u64>,
-    }
+struct Local {
+    rec: Arc<Recorder>,
+    /// Open span ids on this thread, innermost last.
+    stack: Vec<u64>,
+}
 
-    thread_local! {
-        static CURRENT: RefCell<Option<Local>> = const { RefCell::new(None) };
-    }
+thread_local! {
+    static CURRENT: RefCell<Option<Local>> = const { RefCell::new(None) };
+}
 
-    /// Restores the previously installed recorder on drop.
-    pub struct InstallGuard {
-        prev: Option<Option<Local>>,
-    }
+/// Restores the previously installed recorder on drop.
+pub struct InstallGuard {
+    prev: Option<Option<Local>>,
+}
 
-    impl Drop for InstallGuard {
-        fn drop(&mut self) {
-            if let Some(prev) = self.prev.take() {
-                CURRENT.with(|c| *c.borrow_mut() = prev);
-            }
+impl Drop for InstallGuard {
+    fn drop(&mut self) {
+        if let Some(prev) = self.prev.take() {
+            CURRENT.with(|c| *c.borrow_mut() = prev);
         }
     }
+}
 
-    /// Install `rec` as this thread's recorder (or clear it with `None`)
-    /// until the returned guard drops.
-    pub fn install(rec: Option<Arc<Recorder>>) -> InstallGuard {
-        let prev = CURRENT.with(|c| {
-            c.replace(rec.map(|rec| Local {
-                rec,
-                stack: Vec::new(),
-            }))
-        });
-        InstallGuard { prev: Some(prev) }
-    }
+/// Install `rec` as this thread's recorder (or clear it with `None`)
+/// until the returned guard drops.
+pub fn install(rec: Option<Arc<Recorder>>) -> InstallGuard {
+    let prev = CURRENT.with(|c| {
+        c.replace(rec.map(|rec| Local {
+            rec,
+            stack: Vec::new(),
+        }))
+    });
+    InstallGuard { prev: Some(prev) }
+}
 
-    /// The recorder installed on this thread, if any. Capture this before
-    /// spawning workers and re-`install` it inside each one.
-    pub fn current() -> Option<Arc<Recorder>> {
-        CURRENT.with(|c| c.borrow().as_ref().map(|l| l.rec.clone()))
-    }
+/// The recorder installed on this thread, if any. Capture this before
+/// spawning workers and re-`install` it inside each one.
+pub fn current() -> Option<Arc<Recorder>> {
+    CURRENT.with(|c| c.borrow().as_ref().map(|l| l.rec.clone()))
+}
 
-    /// True iff a recorder is installed on this thread. Use to skip
-    /// non-trivial argument computation for counters.
-    #[inline]
-    pub fn active() -> bool {
-        CURRENT.with(|c| c.borrow().is_some())
-    }
+/// True iff a recorder is installed on this thread. Use to skip
+/// non-trivial argument computation for counters.
+#[inline]
+pub fn active() -> bool {
+    CURRENT.with(|c| c.borrow().is_some())
+}
 
-    /// Closes its span on drop.
-    pub struct SpanGuard {
-        open: Option<(Arc<Recorder>, u64, &'static str, Instant)>,
-    }
+/// Closes its span on drop.
+pub struct SpanGuard {
+    open: Option<(Arc<Recorder>, u64, &'static str, Instant)>,
+}
 
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            if let Some((rec, id, name, start)) = self.open.take() {
-                let dur_ns = start.elapsed().as_nanos() as u64;
-                CURRENT.with(|c| {
-                    if let Some(local) = c.borrow_mut().as_mut() {
-                        if local.stack.last() == Some(&id) {
-                            local.stack.pop();
-                        } else {
-                            // Out-of-order drop (shouldn't happen with RAII
-                            // guards, but never corrupt the stack).
-                            local.stack.retain(|&x| x != id);
-                        }
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        if let Some((rec, id, name, start)) = self.open.take() {
+            let dur_ns = start.elapsed().as_nanos() as u64;
+            CURRENT.with(|c| {
+                if let Some(local) = c.borrow_mut().as_mut() {
+                    if local.stack.last() == Some(&id) {
+                        local.stack.pop();
+                    } else {
+                        // Out-of-order drop (shouldn't happen with RAII
+                        // guards, but never corrupt the stack).
+                        local.stack.retain(|&x| x != id);
                     }
-                });
-                rec.emit(&Event::Exit {
-                    id,
-                    name,
-                    dur_ns,
-                    trace: rec.trace,
-                });
-            }
-        }
-    }
-
-    /// Open a span named `name` under the current thread's open span (if
-    /// any); a no-op returning an inert guard when no recorder is installed.
-    pub fn span(name: &'static str) -> SpanGuard {
-        let opened = CURRENT.with(|c| {
-            let mut b = c.borrow_mut();
-            let local = b.as_mut()?;
-            let id = local.rec.next_id.fetch_add(1, Ordering::Relaxed);
-            let parent = local.stack.last().copied().unwrap_or(0);
-            local.stack.push(id);
-            Some((local.rec.clone(), id, parent))
-        });
-        match opened {
-            None => SpanGuard { open: None },
-            Some((rec, id, parent)) => {
-                rec.emit(&Event::Enter {
-                    id,
-                    parent,
-                    name,
-                    trace: rec.trace,
-                });
-                SpanGuard {
-                    open: Some((rec, id, name, Instant::now())),
                 }
+            });
+            rec.emit(&Event::Exit {
+                id,
+                name,
+                dur_ns,
+                trace: rec.trace,
+            });
+        }
+    }
+}
+
+/// Open a span named `name` under the current thread's open span (if
+/// any); a no-op returning an inert guard when no recorder is installed.
+pub fn span(name: &'static str) -> SpanGuard {
+    let opened = CURRENT.with(|c| {
+        let mut b = c.borrow_mut();
+        let local = b.as_mut()?;
+        let id = local.rec.next_id.fetch_add(1, Ordering::Relaxed);
+        let parent = local.stack.last().copied().unwrap_or(0);
+        local.stack.push(id);
+        Some((local.rec.clone(), id, parent))
+    });
+    match opened {
+        None => SpanGuard { open: None },
+        Some((rec, id, parent)) => {
+            rec.emit(&Event::Enter {
+                id,
+                parent,
+                name,
+                trace: rec.trace,
+            });
+            SpanGuard {
+                open: Some((rec, id, name, Instant::now())),
             }
         }
     }
+}
 
-    /// Emit a counter increment (skipped when `delta == 0` or no recorder).
-    pub fn counter(name: &'static str, delta: u64) {
-        if delta == 0 {
-            return;
-        }
-        if let Some(rec) = current() {
+/// Emit a counter increment (skipped when `delta == 0` or no recorder).
+pub fn counter(name: &'static str, delta: u64) {
+    if delta == 0 {
+        return;
+    }
+    if let Some(rec) = current() {
+        rec.emit(&Event::Count {
+            name,
+            delta,
+            trace: rec.trace,
+        });
+    }
+}
+
+/// Emit several counters with a single thread-local lookup; zero deltas
+/// are skipped.
+pub fn counters(items: &[(&'static str, u64)]) {
+    let Some(rec) = current() else { return };
+    for &(name, delta) in items {
+        if delta != 0 {
             rec.emit(&Event::Count {
                 name,
                 delta,
@@ -531,102 +500,6 @@ mod imp {
             });
         }
     }
-
-    /// Emit several counters with a single thread-local lookup; zero deltas
-    /// are skipped.
-    pub fn counters(items: &[(&'static str, u64)]) {
-        let Some(rec) = current() else { return };
-        for &(name, delta) in items {
-            if delta != 0 {
-                rec.emit(&Event::Count {
-                    name,
-                    delta,
-                    trace: rec.trace,
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// No-op surface (feature `enabled` off)
-// ---------------------------------------------------------------------------
-
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use std::sync::Arc;
-
-    use super::Sink;
-
-    /// Inert stand-in: with `enabled` off there is no recorder state at all.
-    pub struct Recorder;
-
-    impl Recorder {
-        pub fn new(_sinks: Vec<Arc<dyn Sink>>) -> Arc<Recorder> {
-            Arc::new(Recorder)
-        }
-
-        pub fn with_trace(_sinks: Vec<Arc<dyn Sink>>, _trace: u64) -> Arc<Recorder> {
-            Arc::new(Recorder)
-        }
-    }
-
-    pub struct InstallGuard;
-
-    #[inline(always)]
-    pub fn install(_rec: Option<Arc<Recorder>>) -> InstallGuard {
-        InstallGuard
-    }
-
-    #[inline(always)]
-    pub fn current() -> Option<Arc<Recorder>> {
-        None
-    }
-
-    #[inline(always)]
-    pub fn active() -> bool {
-        false
-    }
-
-    pub struct SpanGuard;
-
-    // An (empty) Drop impl so call sites that close a span early with an
-    // explicit `drop(guard)` lint identically in both feature modes.
-    impl Drop for SpanGuard {
-        #[inline(always)]
-        fn drop(&mut self) {}
-    }
-
-    #[inline(always)]
-    pub fn span(_name: &'static str) -> SpanGuard {
-        SpanGuard
-    }
-
-    #[inline(always)]
-    pub fn counter(_name: &'static str, _delta: u64) {}
-
-    #[inline(always)]
-    pub fn counters(_items: &[(&'static str, u64)]) {}
-}
-
-pub use imp::{
-    active, counter, counters, current, install, span, InstallGuard, Recorder, SpanGuard,
-};
-
-/// `span!("name")` — open a span guard bound to the enclosing scope.
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::span($name)
-    };
-}
-
-/// `count!("name", delta)` — emit a counter increment.
-#[macro_export]
-macro_rules! count {
-    ($name:expr, $delta:expr) => {
-        $crate::counter($name, $delta as u64)
-    };
 }
 
 #[cfg(test)]
@@ -637,7 +510,7 @@ mod tests {
     fn aggregator_histogram_percentiles() {
         let agg = Aggregator::new();
         for us in [1u64, 2, 3, 100, 200, 5000] {
-            agg.record("p", std::time::Duration::from_micros(us));
+            agg.record_ns("p", us * 1_000);
         }
         agg.add("c", 3);
         agg.add("c", 0); // filtered
@@ -692,10 +565,8 @@ mod tests {
         assert!(a != 0 && b != 0 && a != b);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn spans_nest_and_reach_sinks() {
-        use std::sync::Arc;
         let buf = SharedBuf::new();
         let sink = Arc::new(JsonlSink::new(Box::new(buf.clone()), false));
         let rec = Recorder::new(vec![sink]);
@@ -725,10 +596,8 @@ mod tests {
         assert!(buf.take_string().is_empty());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn trace_ids_stamp_sink_events() {
-        use std::sync::Arc;
         let buf = SharedBuf::new();
         let sink = Arc::new(JsonlSink::new(Box::new(buf.clone()), false));
         let rec = Recorder::with_trace(vec![sink], 42);
@@ -747,16 +616,5 @@ mod tests {
                 r#"{"ev":"exit","id":1,"name":"outer","trace":42}"#,
             ]
         );
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn noop_surface_is_inert() {
-        let _g = install(None);
-        let _s = span("anything");
-        counter("c", 5);
-        counters(&[("a", 1), ("b", 2)]);
-        assert!(!active());
-        assert!(current().is_none());
     }
 }

@@ -1,23 +1,23 @@
 //! Live metrics: striped lock-free counters, gauges, log-bucket
 //! histograms, rolling latency windows, and Prometheus text exposition.
 //!
-//! Unlike the event-driven half of this crate (spans and sinks, which are
-//! compiled to no-ops without the `enabled` feature), everything here is
-//! unconditional: the serve tier populates the registry directly on its
-//! request path, so a `--no-default-features` build still answers scrapes.
+//! Unlike the event-driven half of this crate (spans and sinks, which
+//! only record while a recorder is installed), the serve tier populates
+//! the registry directly on its request path: it is the single record of
+//! every request's wall time, behind both the scrape and the `stats` op.
 //! All hot-path operations are wait-free atomics; the only locks are
 //! per-slot mutexes on the rolling window, touched once per request.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::BUCKETS;
 
 /// Upper bound (inclusive, in microseconds) of log bucket `k`.
 /// Bucket 0 holds sub-microsecond samples; bucket `k >= 1` holds
-/// `[2^(k-1), 2^k)` microseconds, matching `Aggregator`'s scheme.
+/// `[2^(k-1), 2^k)` microseconds (see [`bucket_of_us`]).
 pub fn bucket_upper_us(k: usize) -> u64 {
     if k == 0 {
         0
@@ -26,8 +26,8 @@ pub fn bucket_upper_us(k: usize) -> u64 {
     }
 }
 
-/// Log-bucket index for a duration in microseconds (shared with
-/// `Aggregator::record`).
+/// Log-bucket index for a duration in microseconds: the one bucket
+/// assignment behind [`Histogram`], [`RollingWindow`] and `Aggregator`.
 pub fn bucket_of_us(us: u64) -> usize {
     ((u64::BITS - us.leading_zeros()) as usize).min(BUCKETS - 1)
 }
@@ -115,11 +115,13 @@ impl Gauge {
     }
 }
 
-/// Wait-free log-bucket histogram over microsecond durations.
+/// Wait-free log-bucket histogram over request durations: buckets in
+/// microseconds, the sum kept in nanoseconds so that a total over many
+/// short requests is divided down to microseconds only once.
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
-    sum_us: AtomicU64,
+    sum_ns: AtomicU64,
 }
 
 impl Default for Histogram {
@@ -127,8 +129,22 @@ impl Default for Histogram {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
-            sum_us: AtomicU64::new(0),
+            sum_ns: AtomicU64::new(0),
         }
+    }
+}
+
+/// A point-in-time copy of a [`Histogram`].
+#[derive(Clone, Copy, Debug)]
+pub struct HistogramSnapshot {
+    pub buckets: [u64; BUCKETS],
+    pub count: u64,
+    pub sum_ns: u64,
+}
+
+impl HistogramSnapshot {
+    pub fn percentile_us(&self, p: f64) -> u64 {
+        histogram_quantile_us(&self.buckets, self.count, p)
     }
 }
 
@@ -137,19 +153,19 @@ impl Histogram {
         Histogram::default()
     }
 
-    pub fn observe(&self, us: u64) {
-        self.buckets[bucket_of_us(us)].fetch_add(1, Ordering::Relaxed);
+    pub fn observe(&self, dur: Duration) {
+        let ns = dur.as_nanos() as u64;
+        self.buckets[bucket_of_us(ns / 1_000)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    pub fn snapshot(&self) -> ([u64; BUCKETS], u64, u64) {
-        let buckets = std::array::from_fn(|k| self.buckets[k].load(Ordering::Relaxed));
-        (
-            buckets,
-            self.count.load(Ordering::Relaxed),
-            self.sum_us.load(Ordering::Relaxed),
-        )
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            buckets: std::array::from_fn(|k| self.buckets[k].load(Ordering::Relaxed)),
+            count: self.count.load(Ordering::Relaxed),
+            sum_ns: self.sum_ns.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -273,7 +289,6 @@ impl RollingWindow {
 }
 
 struct OpStats {
-    total: Counter,
     timeouts: Counter,
     latency: Histogram,
     window: RollingWindow,
@@ -282,7 +297,6 @@ struct OpStats {
 impl OpStats {
     fn new() -> OpStats {
         OpStats {
-            total: Counter::new(),
             timeouts: Counter::new(),
             latency: Histogram::new(),
             window: RollingWindow::new(),
@@ -344,14 +358,22 @@ impl MetricsRegistry {
     }
 
     /// Record one completed request of family `op`.
-    pub fn observe_op(&self, op: &'static str, dur_us: u64, timed_out: bool) {
+    pub fn observe_op(&self, op: &'static str, dur: Duration, timed_out: bool) {
         let stats = self.op_stats(op);
-        stats.total.add(1);
         if timed_out {
             stats.timeouts.add(1);
         }
-        stats.latency.observe(dur_us);
-        stats.window.observe(dur_us, timed_out);
+        stats.latency.observe(dur);
+        stats.window.observe(dur.as_micros() as u64, timed_out);
+    }
+
+    /// Full-history latency histogram of every op family seen so far,
+    /// sorted by op name.
+    pub fn op_latencies(&self) -> Vec<(&'static str, HistogramSnapshot)> {
+        let ops = self.ops.read().unwrap_or_else(|e| e.into_inner());
+        ops.iter()
+            .map(|(op, stats)| (*op, stats.latency.snapshot()))
+            .collect()
     }
 
     /// Record one request refused by admission control (it never ran, so
@@ -388,11 +410,12 @@ impl MetricsRegistry {
         let mut window_timeouts = 0u64;
         for (op, stats) in ops.iter() {
             let labels = vec![("op", (*op).to_owned())];
+            let latency = stats.latency.snapshot();
             out.push(Sample {
                 name: "omq_requests_total",
                 help: "Requests executed by the engine, by op family.",
                 labels: labels.clone(),
-                value: Value::Counter(stats.total.get()),
+                value: Value::Counter(latency.count),
             });
             let timeouts = stats.timeouts.get();
             if timeouts > 0 {
@@ -403,15 +426,14 @@ impl MetricsRegistry {
                     value: Value::Counter(timeouts),
                 });
             }
-            let (buckets, count, sum_us) = stats.latency.snapshot();
             out.push(Sample {
                 name: "omq_request_duration_us",
                 help: "Request wall time in microseconds, log-bucketed.",
                 labels: labels.clone(),
                 value: Value::Histogram {
-                    buckets: buckets.to_vec(),
-                    count,
-                    sum_us,
+                    buckets: latency.buckets.to_vec(),
+                    count: latency.count,
+                    sum_us: latency.sum_ns / 1_000,
                 },
             });
             let win = stats.window.snapshot();
@@ -721,9 +743,10 @@ mod tests {
     #[test]
     fn registry_tracks_ops_shed_and_burn() {
         let reg = MetricsRegistry::new();
-        reg.observe_op("serve.contains", 120, false);
-        reg.observe_op("serve.contains", 8000, true);
-        reg.observe_op("serve.evaluate", 40, false);
+        let us = Duration::from_micros;
+        reg.observe_op("serve.contains", us(120), false);
+        reg.observe_op("serve.contains", us(8000), true);
+        reg.observe_op("serve.evaluate", us(40), false);
         reg.mark_shed();
         assert_eq!(reg.shed_total(), 1);
         let burn = reg.shed_burn_ratio();
@@ -740,6 +763,23 @@ mod tests {
     }
 
     #[test]
+    fn op_latency_sums_in_nanoseconds() {
+        // Three 1.5 us requests total 4.5 us: summing whole microseconds
+        // per request would report 3.
+        let reg = MetricsRegistry::new();
+        for _ in 0..3 {
+            reg.observe_op("serve.stats", Duration::from_nanos(1_500), false);
+        }
+        let lat = reg.op_latencies();
+        assert_eq!(lat.len(), 1);
+        let (op, h) = lat[0];
+        assert_eq!((op, h.count, h.sum_ns), ("serve.stats", 3, 4_500));
+        let text = render_prometheus(&reg.samples());
+        assert!(text.contains("omq_requests_total{op=\"serve.stats\"} 3\n"));
+        assert!(text.contains("omq_request_duration_us_sum{op=\"serve.stats\"} 4\n"));
+    }
+
+    #[test]
     fn label_bound_collapses_overflow_into_other() {
         let reg = MetricsRegistry::new();
         const NAMES: [&str; 40] = [
@@ -749,7 +789,7 @@ mod tests {
             "op33", "op34", "op35", "op36", "op37", "op38", "op39",
         ];
         for name in NAMES {
-            reg.observe_op(name, 10, false);
+            reg.observe_op(name, Duration::from_micros(10), false);
         }
         let text = render_prometheus(&reg.samples());
         assert!(text.contains("omq_requests_total{op=\"other\"}"));

@@ -6,10 +6,6 @@
 //! * a multi-threaded run produces the same *multiset* of events across
 //!   repeats once ids are normalized away (scheduling permutes ids and
 //!   interleaving, never the set of spans and counters emitted).
-//!
-//! Only meaningful with the real recorder; with `enabled` off every entry
-//! point is a no-op and there is nothing to test.
-#![cfg(feature = "enabled")]
 
 use std::sync::{Arc, Mutex};
 

@@ -3,8 +3,7 @@
 //! Default mode reads JSON-lines requests from stdin and writes responses
 //! to stdout (a blank line flushes a batch; EOF flushes the rest). With
 //! `--listen ADDR` it serves the same protocol over TCP through the
-//! nonblocking, connection-multiplexed reactor (`--tcp-threaded` falls
-//! back to the thread-per-connection transport). Either way the back end
+//! nonblocking, connection-multiplexed reactor. Either way the back end
 //! is a registry shardable with `--shards`, optionally persisting
 //! rewriting artifacts under `--cache-dir` and shedding load past
 //! `--queue-watermark`.
@@ -15,8 +14,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use omq_serve::{
-    serve_lines, serve_reactor, serve_tcp, spawn_metrics_exporter, EngineConfig, ReactorConfig,
-    ShardedEngine,
+    serve_lines, serve_reactor, spawn_metrics_exporter, EngineConfig, ReactorConfig, ShardedEngine,
 };
 
 const USAGE: &str = "\
@@ -29,8 +27,6 @@ OPTIONS:
   --listen ADDR         serve over TCP on ADDR (e.g. 127.0.0.1:7171)
                         through the nonblocking reactor instead of
                         stdin/stdout
-  --tcp-threaded        with --listen: thread-per-connection transport
-                        instead of the reactor (no admission control)
   --shards N            shard the registry across N engines by canonical
                         key hash (default 1)
   --queue-watermark N   shed solver requests once the admitted queue
@@ -49,8 +45,7 @@ OPTIONS:
                         novelty rows that trigger store compaction
                         (0 = compact only on demand; default 64)
   --trace-out PATH      append every request's span tree to PATH as JSONL
-                        trace events (enter/exit/count; needs the default
-                        `obs` feature to produce events)
+                        trace events (enter/exit/count)
   --trace-sample RATE   fraction of requests captured to --trace-out by a
                         deterministic hash of the trace id (0.0-1.0;
                         default 1.0; \"trace\":true requests are always
@@ -76,7 +71,6 @@ fn main() -> ExitCode {
     let mut shards: usize = 1;
     let mut watermark: usize = 0;
     let mut workers: usize = 0;
-    let mut threaded = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| {
@@ -89,7 +83,6 @@ fn main() -> ExitCode {
                 Ok(v) => listen = Some(v),
                 Err(e) => return fail(&e),
             },
-            "--tcp-threaded" => threaded = true,
             "--shards" => match value("--shards").map(|v| v.parse()) {
                 Ok(Ok(n)) if n >= 1 => shards = n,
                 _ => return fail("--shards needs a positive integer"),
@@ -190,11 +183,7 @@ fn main() -> ExitCode {
                 watermark,
             );
             let runtime = engine.runtime();
-            if threaded {
-                serve_tcp(engine, listener)
-            } else {
-                serve_reactor(engine, listener, ReactorConfig { workers }, runtime)
-            }
+            serve_reactor(engine, listener, ReactorConfig { workers }, runtime)
         }
         None => {
             let stdin = io::stdin();

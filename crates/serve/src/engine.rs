@@ -394,15 +394,14 @@ pub struct Engine {
     /// from maintenance chases), so resumed fixpoints never collide on
     /// null ids the way per-request vocabulary clones would.
     stores: Mutex<HashMap<String, NamedStore>>,
-    /// Per-op wall-clock histograms, fed directly (no recorder needed, so
-    /// they survive `--no-default-features`); exposed by the `stats` op.
-    latencies: Aggregator,
     /// When set, every sampled request runs under a recorder that also
     /// streams its span tree here (the binary's `--trace-out`, thinned by
     /// `trace_sample`).
     trace_sink: Option<Arc<JsonlSink>>,
-    /// Live metrics registry fed on every request completion; per-engine
-    /// by default, shared across shards by [`Engine::set_telemetry`].
+    /// Live metrics registry fed on every request completion: the one
+    /// record of per-op wall time, rendered by both the scrape and the
+    /// `stats` op. Per-engine by default, shared across shards by
+    /// [`Engine::set_telemetry`].
     metrics: Arc<MetricsRegistry>,
     /// Always-on flight recorder with tail retention (shed / timed-out /
     /// slow requests); shared across shards like `metrics`.
@@ -429,7 +428,6 @@ impl Engine {
             coalesced_hits: AtomicU64::new(0),
             verdict_computations: AtomicU64::new(0),
             stores: Mutex::new(HashMap::new()),
-            latencies: Aggregator::new(),
             trace_sink: None,
             metrics: Arc::new(MetricsRegistry::new()),
             flight: Arc::new(FlightRecorder::new(cfg_flight_slow_us(&cfg))),
@@ -439,8 +437,7 @@ impl Engine {
     }
 
     /// Stream every request's span tree to `sink` (call before sharing the
-    /// engine). With the workspace `obs` feature off this is accepted but
-    /// inert — spans compile to no-ops.
+    /// engine).
     pub fn set_trace_sink(&mut self, sink: Arc<JsonlSink>) {
         self.trace_sink = Some(sink);
     }
@@ -630,28 +627,8 @@ impl Engine {
             let _root = omq_obs::span(op_name(&req.op));
             self.run_op(&req.op, &budget, coalesce, req.trace_id)
         };
-        let elapsed = started.elapsed();
-        self.latencies.record(op_name(&req.op), elapsed);
-        let wall_us = elapsed.as_micros() as u64;
-        self.metrics
-            .observe_op(op_name(&req.op), wall_us, timed_out);
-        let mut tree = match &flight_sink {
-            Some(fs) => fs.take(),
-            None => SpanTree::default(),
-        };
-        if tree.spans.is_empty() {
-            // No captured spans (obs compiled out, or an ambient recorder
-            // owned the events): offer a root-only tree so the flight
-            // recorder still explains shed/slow/timed-out requests.
-            tree.spans = SpanTree::root(op_name(&req.op), wall_us).spans;
-        }
-        self.flight.offer(
-            req.trace_id,
-            op_name(&req.op),
-            wall_us,
-            tree,
-            timed_out.then_some("timeout"),
-        );
+        let tree = flight_sink.map(|fs| fs.take()).unwrap_or_default();
+        self.record(req, started.elapsed(), timed_out, tree);
         if let (Some(agg), Ok(fields)) = (&trace_agg, &mut outcome) {
             fields.push(("trace".to_owned(), trace_json(agg, req.trace_id)));
         }
@@ -660,6 +637,28 @@ impl Engine {
             outcome,
             timed_out,
         }
+    }
+
+    /// Charges one finished request to the shared telemetry: the metrics
+    /// registry and the flight recorder. Every executed request passes
+    /// through here exactly once, whichever path answered it.
+    fn record(&self, req: &Request, elapsed: Duration, timed_out: bool, mut tree: SpanTree) {
+        let op = op_name(&req.op);
+        let wall_us = elapsed.as_micros() as u64;
+        self.metrics.observe_op(op, elapsed, timed_out);
+        if tree.spans.is_empty() {
+            // No captured spans (an ambient recorder owned the events, or
+            // the request ran inside a retract run): offer a root-only
+            // tree so the flight recorder still explains it.
+            tree.spans = SpanTree::root(op, wall_us).spans;
+        }
+        self.flight.offer(
+            req.trace_id,
+            op,
+            wall_us,
+            tree,
+            timed_out.then_some("timeout"),
+        );
     }
 
     /// Length of the maximal run of coalesceable retracts starting at `i`:
@@ -742,6 +741,10 @@ impl Engine {
                 .collect();
             (outcomes, entry.store.stats(), entry.store.head_complete())
         });
+        let elapsed = started.elapsed();
+        for req in &reqs {
+            self.record(req, elapsed, false, SpanTree::default());
+        }
         let (outcomes, stats, head_complete) = match res {
             Ok(t) => t,
             Err(e) => {
@@ -753,11 +756,9 @@ impl Engine {
                     .collect();
             }
         };
-        let elapsed = started.elapsed();
         reqs.iter()
             .zip(outcomes)
             .map(|(req, outcome)| {
-                self.latencies.record("serve.retract", elapsed);
                 let outcome = outcome.map(|(version, changed)| {
                     vec![
                         ("retracted".to_owned(), Json::str(&name)),
@@ -871,6 +872,22 @@ impl Engine {
         }
     }
 
+    /// Applies a broadcast `register` to this engine's registry without
+    /// answering or recording it: a sharded front end sends the request
+    /// itself to one shard and only replicates it to the others, so the
+    /// shared telemetry counts it once.
+    pub(crate) fn replicate(&self, req: &Request) {
+        if let Op::Register {
+            name,
+            program,
+            schema,
+            query,
+        } = &req.op
+        {
+            let _ = self.op_register(name, program, schema, query);
+        }
+    }
+
     fn op_register(
         &self,
         name: &str,
@@ -927,24 +944,24 @@ impl Engine {
         let mut fields = vec![
             ("registered".to_owned(), Json::num(reg.len())),
             ("distinct_keys".to_owned(), Json::num(reg.distinct_keys())),
-            // Per-op latency histograms since engine start (wall-clock of
-            // the whole request, including cache hits). Present regardless
-            // of the `obs` feature: the engine feeds the aggregator
-            // directly rather than through spans.
+            // Per-op latency histograms from the metrics registry (wall
+            // clock of the whole request, including cache hits): the same
+            // samples as the scrape's `omq_request_duration_us`, shared
+            // across shards.
             (
                 "latency".to_owned(),
                 Json::Obj(
-                    self.latencies
-                        .phases()
+                    self.metrics
+                        .op_latencies()
                         .into_iter()
-                        .map(|p| {
+                        .map(|(op, h)| {
                             (
-                                p.name.clone(),
+                                op.to_owned(),
                                 Json::obj([
-                                    ("count", Json::num(p.count as usize)),
-                                    ("p50_us", Json::num(p.p50_us as usize)),
-                                    ("p99_us", Json::num(p.p99_us as usize)),
-                                    ("total_us", Json::num((p.total_ns / 1_000) as usize)),
+                                    ("count", Json::num(h.count as usize)),
+                                    ("p50_us", Json::num(h.percentile_us(0.50) as usize)),
+                                    ("p99_us", Json::num(h.percentile_us(0.99) as usize)),
+                                    ("total_us", Json::num((h.sum_ns / 1_000) as usize)),
                                 ]),
                             )
                         })
@@ -1054,13 +1071,12 @@ impl Engine {
     }
 
     /// Scrape samples for engine-local state: cache tiers, coalescing,
-    /// the disk tier, store maintenance, the registry size, and the
-    /// per-op latency histograms (from [`Aggregator`], so present even
-    /// with `obs` compiled out). Excludes process-global series — the
-    /// flight recorder, the hom kernel, and the metrics registry itself —
-    /// which the front end adds exactly once (a sharded engine folds one
-    /// `local_samples` per shard into a single scrape; duplicated global
-    /// series would multiply by the shard count).
+    /// the disk tier, store maintenance, and the registry size. Excludes
+    /// process-global series — the flight recorder, the hom kernel, and
+    /// the metrics registry itself — which the front end adds exactly
+    /// once (a sharded engine folds one `local_samples` per shard into a
+    /// single scrape; duplicated global series would multiply by the
+    /// shard count).
     pub fn local_samples(&self) -> Vec<Sample> {
         let mut out = Vec::new();
         let (rw, vd, enc) = self.cache_stats();
@@ -1196,19 +1212,6 @@ impl Engine {
             reg.distinct_keys() as f64,
         ));
         drop(reg);
-        // Engine-start latency histograms (full history, not windowed).
-        for p in self.latencies.raw_phases() {
-            out.push(Sample {
-                name: "omq_op_latency_us",
-                help: "Per-op wall time since engine start (us, log-bucketed).",
-                labels: vec![("op", p.name)],
-                value: Value::Histogram {
-                    buckets: p.buckets.to_vec(),
-                    count: p.count,
-                    sum_us: p.total_ns / 1_000,
-                },
-            });
-        }
         // The runtime block is attached to exactly one engine (shard 0),
         // so reactor gauges appear once per process.
         if let Some(rt) = &self.runtime {
@@ -1772,8 +1775,7 @@ fn op_name(op: &Op) -> &'static str {
 
 /// The `"trace"` response field: the request's trace id (the one stamped
 /// on its sink events) plus the per-phase wall-clock breakdown and
-/// counters (empty when the workspace `obs` feature is off — spans are
-/// no-ops then). Only `"trace":true` responses carry this, so the id
+/// counters. Only `"trace":true` responses carry this, so the id
 /// never reaches a byte-determinism-pinned default response.
 fn trace_json(agg: &Aggregator, trace_id: u64) -> Json {
     Json::obj([
@@ -2001,16 +2003,9 @@ mod tests {
         let trace = traced
             .get("trace")
             .expect("traced request has a trace field");
-        // With `obs` compiled in, the trace carries the root span and the
-        // solver phases; without it, spans are no-ops and it is empty.
-        #[cfg(feature = "obs")]
-        {
-            let phases = trace.get("phases").unwrap();
-            assert!(phases.get("serve.contains").is_some(), "root span present");
-            assert!(phases.get("contain").is_some(), "solver phases present");
-        }
-        #[cfg(not(feature = "obs"))]
-        assert!(trace.get("phases").is_some());
+        let phases = trace.get("phases").unwrap();
+        assert!(phases.get("serve.contains").is_some(), "root span present");
+        assert!(phases.get("contain").is_some(), "solver phases present");
         let untraced = Json::Obj(out[2].outcome.as_ref().unwrap().clone());
         assert!(untraced.get("trace").is_none(), "untraced stays untraced");
         let stats = Json::Obj(out[3].outcome.as_ref().unwrap().clone());

@@ -6,7 +6,7 @@
 //! preserve *insertion order* (a `Vec` of pairs, not a map), which makes
 //! every serialized response byte-deterministic, a property the
 //! differential tests and the verdict cache rely on. Duplicate keys keep
-//! the first occurrence on lookup.
+//! the first occurrence on lookup. Nesting is capped at [`MAX_DEPTH`].
 
 use std::fmt;
 
@@ -145,12 +145,18 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Protocol requests nest
+/// a few levels; the cap refuses hostile input (`[[[[…`) with an error
+/// before the recursive descent can overflow the stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document from `text` (whole-input: trailing non-space
 /// characters are an error).
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -164,6 +170,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -208,8 +216,8 @@ impl Parser<'_> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -217,6 +225,21 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -426,6 +449,21 @@ mod tests {
         for text in ["", "{", "[1,", "\"abc", "{\"a\" 1}", "nul", "01x", "[1] x"] {
             assert!(parse(text).is_err(), "{text:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"a\":".repeat(n) + "0" + &"}".repeat(n);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        for text in [arrays(MAX_DEPTH + 1), objects(MAX_DEPTH + 1)] {
+            let err = parse(&text).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        // Far past the cap: refused, not a stack overflow.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&arrays(200_000)).is_err());
     }
 
     #[test]

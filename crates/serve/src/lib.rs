@@ -23,7 +23,7 @@
 //!   dispatch;
 //! * [`shard`] — canonical-key-hash sharding across N engines;
 //! * [`admission`] — queue-depth admission control (load shedding);
-//! * [`server`] — stream and (thread-per-connection) TCP transports;
+//! * [`server`] — the stdin/stdout stream transport;
 //! * [`reactor`] — the nonblocking, readiness-polled TCP front end.
 
 pub mod admission;
@@ -48,6 +48,6 @@ pub use key::{OmqKey, RewriteCfgKey};
 pub use protocol::{parse_request, response_to_json, Op, Request, Response};
 pub use reactor::{serve_reactor, spawn_metrics_exporter, ReactorConfig, RuntimeStats, StallWatch};
 pub use registry::{RegisterInfo, Registered, Registry};
-pub use server::{serve_lines, serve_tcp, BatchExecutor};
+pub use server::{serve_lines, BatchExecutor};
 pub use shard::ShardedEngine;
 pub use tier::{DiskTier, DiskTierStats, PortableArtifact};

@@ -13,7 +13,7 @@
 //!
 //! Ordering: at most one batch per connection is in flight at a time, so
 //! a connection's responses are written in request order and are
-//! byte-identical to what the thread-per-connection transport would have
+//! byte-identical to what [`crate::server::serve_lines`] would have
 //! produced — the reactor changes *when* work is scheduled, never what it
 //! answers. Admission control is the one deliberate exception: when the
 //! queue depth at enqueue time sits at or over the watermark, sheddable
@@ -452,7 +452,7 @@ pub fn serve_reactor<E: BatchExecutor + 'static>(
 }
 
 /// The reactor needs `poll(2)` and raw fds; on non-Unix targets it
-/// refuses to start (use [`crate::server::serve_tcp`] there).
+/// refuses to start, so `--listen` is Unix-only.
 #[cfg(not(unix))]
 pub fn serve_reactor<E: BatchExecutor + 'static>(
     _executor: Arc<E>,

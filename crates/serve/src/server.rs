@@ -1,16 +1,12 @@
 //! Transport: JSON-lines over any `BufRead`/`Write` pair (stdin/stdout
-//! batch mode) and over TCP (one connection per client, one thread per
-//! connection — compute is bounded by the engine's worker pool either way).
-//! For the nonblocking, connection-multiplexed TCP front end see
-//! [`crate::reactor`].
+//! batch mode). TCP is served by the nonblocking, connection-multiplexed
+//! front end in [`crate::reactor`].
 //!
 //! Every transport talks to its back end through [`BatchExecutor`], so a
 //! single [`crate::engine::Engine`] and a [`crate::shard::ShardedEngine`]
 //! plug in interchangeably.
 
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::io::{self, BufRead, Write};
 
 use crate::engine::Engine;
 use crate::protocol::{parse_request, response_to_json, Request, Response};
@@ -70,27 +66,6 @@ pub fn serve_lines<E: BatchExecutor + ?Sized, R: BufRead, W: Write>(
     flush(&mut batch, &mut writer)
 }
 
-/// Accept loop: serves each TCP connection on its own thread until the
-/// listener errors out. Never returns under normal operation.
-pub fn serve_tcp<E: BatchExecutor + 'static>(
-    engine: Arc<E>,
-    listener: TcpListener,
-) -> io::Result<()> {
-    for conn in listener.incoming() {
-        let stream: TcpStream = conn?;
-        let engine = Arc::clone(&engine);
-        std::thread::spawn(move || {
-            let reader = BufReader::new(match stream.try_clone() {
-                Ok(s) => s,
-                Err(_) => return,
-            });
-            // Connection I/O errors end that connection only.
-            let _ = serve_lines(&*engine, reader, stream);
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,20 +94,20 @@ mod tests {
     }
 
     #[test]
-    fn tcp_round_trip() {
-        let engine = Arc::new(Engine::new(EngineConfig::default()));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = Arc::clone(&engine);
-        std::thread::spawn(move || serve_tcp(server, listener));
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(BATCH.as_bytes()).unwrap();
-        stream.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut text = String::new();
-        BufReader::new(stream).read_to_string(&mut text).unwrap();
-        assert_eq!(text.lines().count(), 3);
-        assert!(text.contains(r#""verdict":"contained""#));
+    fn deeply_nested_line_is_refused_and_the_stream_goes_on() {
+        let engine = Engine::new(EngineConfig::default());
+        let input = format!("{}\n{BATCH}", "[".repeat(200_000));
+        let mut out = Vec::new();
+        serve_lines(&engine, input.as_bytes(), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert!(
+            lines[0].starts_with(r#"{"ok":false,"error":{"kind":"json""#)
+                && lines[0].contains("nesting deeper than"),
+            "{}",
+            lines[0]
+        );
+        assert!(lines[2].contains(r#""verdict":"contained""#));
     }
-
-    use std::io::Read;
 }

@@ -34,7 +34,8 @@ pub struct ShardedEngine {
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Target {
-    /// Registry mutation: every shard applies it (shard 0 answers).
+    /// Registry mutation: every shard applies it (shard 0 answers and
+    /// records it).
     Broadcast,
     Shard(usize),
     /// Answered by the front end itself: `metrics` needs every shard's
@@ -158,16 +159,18 @@ impl BatchExecutor for ShardedEngine {
         while i < n {
             match self.target(&items[i]) {
                 Target::Broadcast => {
-                    let one = std::slice::from_ref(&items[i]);
-                    let mut first = None;
-                    for (s, shard) in self.shards.iter().enumerate() {
-                        let resp = shard.execute_batch(one).into_iter().next();
-                        self.runtime.record_shard(s, 1);
-                        if s == 0 {
-                            first = resp;
+                    // Shard 0 answers (and records) the request; the other
+                    // shards only apply it to their registry replicas.
+                    out[i] = self.shards[0]
+                        .execute_batch(std::slice::from_ref(&items[i]))
+                        .pop();
+                    self.runtime.record_shard(0, 1);
+                    if let Ok(req) = &items[i] {
+                        for (s, shard) in self.shards.iter().enumerate().skip(1) {
+                            shard.replicate(req);
+                            self.runtime.record_shard(s, 1);
                         }
                     }
-                    out[i] = first;
                     i += 1;
                 }
                 Target::Front => {

@@ -1,9 +1,11 @@
 //! The telemetry plane, end to end through the public protocol:
 //!
 //! * the `metrics` op answers a Prometheus text exposition covering the
-//!   request, cache, coalescing, store, and latency taxonomies — in obs
-//!   and no-obs builds alike (the registry and the engine's latency
-//!   aggregator are plain atomics, not gated instrumentation);
+//!   request, cache, coalescing, store, and latency taxonomies;
+//! * every request is recorded once, in the metrics registry: the
+//!   `stats` op's `latency` block and the scrape's `omq_requests_total`
+//!   agree per op, on one shard and on three, for batched retract runs
+//!   and broadcast registers alike;
 //! * the exposition is deterministic across byte-identical runs once
 //!   timing-valued lines (`_us` histograms/quantiles, uptime, tail-based
 //!   flight retention, process-global hom counters) are set aside;
@@ -13,6 +15,7 @@
 //! * trace ids never appear in default-mode responses, only under
 //!   `"trace":true`.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use omq_serve::{
@@ -40,6 +43,47 @@ const WORK: &[&str] = &[
     r#"{"id":6,"op":"evaluate","name":"a"}"#,
     r#"{"id":7,"op":"retract","name":"a","facts":["P(c1)"]}"#,
 ];
+
+/// `omq_requests_total` per op, read off an exposition.
+fn requests_total(text: &str) -> BTreeMap<String, u64> {
+    text.lines()
+        .filter_map(|l| l.strip_prefix("omq_requests_total{op=\""))
+        .map(|l| {
+            let (op, value) = l.split_once("\"} ").unwrap();
+            (op.to_owned(), value.parse().unwrap())
+        })
+        .collect()
+}
+
+/// `stats.latency[op].count` per op.
+fn latency_counts(executor: &dyn BatchExecutor) -> BTreeMap<String, u64> {
+    let out = run(executor, &[r#"{"id":8,"op":"stats"}"#]);
+    let stats = omq_serve::json::parse(&out[0]).unwrap();
+    let Some(Json::Obj(ops)) = stats.get("latency") else {
+        panic!("stats has no latency block: {}", out[0]);
+    };
+    ops.iter()
+        .map(|(op, h)| (op.clone(), h.get("count").and_then(Json::as_u64).unwrap()))
+        .collect()
+}
+
+/// The `stats` latency block and the scrape count the same requests (the
+/// scrape, taken second, alone has seen the `stats` request itself).
+/// Returns the per-op counts.
+fn assert_one_latency_record(executor: &dyn BatchExecutor) -> BTreeMap<String, u64> {
+    let latency = latency_counts(executor);
+    let text = exposition_of(executor);
+    let mut scraped = requests_total(&text);
+    *scraped.get_mut("serve.stats").expect("stats was recorded") -= 1;
+    scraped.retain(|_, n| *n > 0);
+    assert_eq!(latency, scraped, "stats.latency vs omq_requests_total");
+    assert_eq!(
+        text.matches(" histogram\n").count(),
+        1,
+        "one per-op latency histogram family: {text}"
+    );
+    scraped
+}
 
 fn exposition_of(executor: &dyn BatchExecutor) -> String {
     let out = run(executor, &[r#"{"id":9,"op":"metrics"}"#]);
@@ -74,8 +118,7 @@ fn metrics_op_covers_the_serve_taxonomy() {
         "omq_store_ops_total{op=\"retract\"} 1",
         "omq_store_maintenance_total{kind=\"incremental_resume\"}",
         "omq_store_facts_total{dir=\"asserted\"} 2",
-        "omq_op_latency_us_bucket",
-        "omq_op_latency_us_count",
+        "omq_request_duration_us_count{op=\"serve.retract\"} 1",
         "omq_flight_offered_total",
         "omq_hom_events_total{kind=\"homs_found\"}",
         "omq_registered 2",
@@ -127,9 +170,34 @@ fn metrics_exposition_is_deterministic_modulo_timing() {
 
 #[test]
 fn sharded_scrape_folds_every_shard_and_counts_occupancy() {
+    let expected: BTreeMap<String, u64> = [
+        ("serve.assert", 1),
+        ("serve.contains", 2),
+        ("serve.evaluate", 1),
+        ("serve.register", 2),
+        ("serve.retract", 1),
+    ]
+    .into_iter()
+    .map(|(op, n)| (op.to_owned(), n))
+    .collect();
+    for shards in [1, 3] {
+        let sharded = ShardedEngine::new(EngineConfig::default(), shards, 0);
+        let _ = run(&sharded, WORK);
+        // A broadcast register is one request, however many replicas
+        // apply it.
+        assert_eq!(
+            assert_one_latency_record(&sharded),
+            expected,
+            "{shards} shards"
+        );
+    }
     let sharded = ShardedEngine::new(EngineConfig::default(), 3, 0);
     let _ = run(&sharded, WORK);
     let text = exposition_of(&sharded);
+    assert!(
+        text.contains("omq_requests_total{op=\"serve.register\"} 2"),
+        "{text}"
+    );
     // Per-shard registry replicas must not multiply the size gauges.
     assert!(text.contains("omq_registered 2"), "{text}");
     // Reactor occupancy appears per shard.
@@ -149,6 +217,36 @@ fn sharded_scrape_folds_every_shard_and_counts_occupancy() {
             .count(),
         1,
         "per-shard series must merge, not repeat: {text}"
+    );
+}
+
+#[test]
+fn retract_runs_reach_the_scrape() {
+    let engine = Engine::new(EngineConfig::default());
+    let _ = run(
+        &engine,
+        &[
+            WORK[0],
+            r#"{"id":2,"op":"assert","name":"a","facts":["P(c1)","P(c2)","P(c3)"]}"#,
+            r#"{"id":3,"op":"evaluate","name":"a"}"#,
+            r#"{"id":4,"op":"retract","name":"a","facts":["P(c1)"]}"#,
+            r#"{"id":5,"op":"retract","name":"a","facts":["P(c2)"]}"#,
+            r#"{"id":6,"op":"retract","name":"a","facts":["P(c3)"]}"#,
+        ],
+    );
+    let stats = run(&engine, &[r#"{"id":7,"op":"stats"}"#]);
+    let store = omq_serve::json::parse(&stats[0]).unwrap();
+    let store = store.get("store").unwrap();
+    // The three retracts ran as one batched cone pass ...
+    assert_eq!(store.get("cone_batches").and_then(Json::as_u64), Some(1));
+    assert_eq!(store.get("cone_reuses").and_then(Json::as_u64), Some(2));
+    // ... and each is still recorded as its own request.
+    let scraped = assert_one_latency_record(&engine);
+    assert_eq!(scraped.get("serve.retract"), Some(&3));
+    let text = exposition_of(&engine);
+    assert!(
+        text.contains("omq_requests_total{op=\"serve.retract\"} 3"),
+        "{text}"
     );
 }
 

@@ -22,17 +22,6 @@ echo "==> tier-1: cargo build --release && cargo test"
 cargo build --release
 cargo test -q --release --workspace
 
-echo "==> tier-1 with observability compiled out (--no-default-features)"
-# Separate target dir so the two feature configurations don't thrash each
-# other's incremental caches. Proves every omq_obs entry point compiles to
-# a no-op surface with identical call sites, and (via the serve telemetry
-# suite it runs) that the metrics registry, Prometheus exposition, and
-# flight recorder still answer with the span/sink recorder compiled out.
-cargo clippy --workspace --all-targets --release --no-default-features \
-    --target-dir target/noobs -- -D warnings
-cargo test -q --release --workspace --no-default-features \
-    --target-dir target/noobs
-
 echo "==> perf smoke (writes BENCH_chase.json, BENCH_rewrite.json, BENCH_guarded.json)"
 cargo run -q --release -p omq-bench --bin perf_smoke
 
@@ -151,6 +140,27 @@ echo "$SERVE_OUT" | jq -s -e '
 ' >/dev/null || {
     echo "serve smoke test failed; responses were:" >&2
     echo "$SERVE_OUT" >&2
+    exit 1
+}
+
+echo "==> serve hostile-input smoke (200,000-deep nesting is refused, not a crash)"
+# Without a nesting cap the recursive-descent JSON parser overflows its
+# stack on such a line and the whole process aborts. With it the line gets
+# a structured json error and the requests after it are still answered.
+HOSTILE_STATUS=0
+HOSTILE_OUT=$( { head -c 200000 /dev/zero | tr '\0' '['
+    printf '\n%s\n%s\n' \
+        '{"id":1,"op":"register","name":"h","program":"q(X) :- P(X)","schema":["P"],"query":"q"}' \
+        '{"id":2,"op":"contains","lhs":"h","rhs":"h"}'
+} | ./target/release/omq-serve) || HOSTILE_STATUS=$?
+[ "$HOSTILE_STATUS" -eq 0 ] && echo "$HOSTILE_OUT" | jq -s -e '
+    length == 3
+    and (.[0].ok == false and .[0].error.kind == "json")
+    and (.[1].ok and .[1].registered == "h")
+    and (.[2].ok and .[2].verdict == "contained")
+' >/dev/null || {
+    echo "hostile-input smoke failed (exit $HOSTILE_STATUS); responses were:" >&2
+    echo "$HOSTILE_OUT" >&2
     exit 1
 }
 
@@ -343,7 +353,7 @@ MET_SERIES=(
     'omq_verdict_computations_total'
     'omq_store_ops_total{op="assert"}'
     'omq_store_maintenance_total{kind="incremental_resume"}'
-    'omq_op_latency_us_bucket'
+    'omq_request_duration_us_bucket'
     'omq_reactor_requests_total'
     'omq_flight_offered_total'
 )
