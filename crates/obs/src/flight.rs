@@ -11,6 +11,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::metrics::{Sample, Value};
 use crate::{Event, Sink};
 
 /// Cap on spans captured per request; deeper trees are truncated rather
@@ -169,6 +170,35 @@ impl FlightRecorder {
             .cloned()
             .collect();
         (retained, recent)
+    }
+
+    /// The recorder's half of the scrape: offered and retained totals and
+    /// the occupancy of both rings. Process-wide, so a front end adds them
+    /// once however many engines share the recorder.
+    pub fn samples(&self) -> Vec<Sample> {
+        let (offered, retained_total, recent_len, retained_len) = self.counts();
+        let ring = |ring: &str, len: usize| Sample {
+            name: "omq_flight_ring_entries",
+            help: "Current flight-recorder ring occupancy.",
+            labels: vec![("ring", ring.to_owned())],
+            value: Value::Gauge(len as f64),
+        };
+        vec![
+            Sample {
+                name: "omq_flight_offered_total",
+                help: "Request trees offered to the flight recorder.",
+                labels: Vec::new(),
+                value: Value::Counter(offered),
+            },
+            Sample {
+                name: "omq_flight_retained_total",
+                help: "Request trees retained by tail-based sampling (shed/timeout/slow).",
+                labels: Vec::new(),
+                value: Value::Counter(retained_total),
+            },
+            ring("recent", recent_len),
+            ring("retained", retained_len),
+        ]
     }
 
     /// (offered_total, retained_total, recent_len, retained_len).

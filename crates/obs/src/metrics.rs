@@ -400,9 +400,11 @@ impl MetricsRegistry {
         shed as f64 / (shed + served) as f64
     }
 
-    /// Render the registry's half of the scrape: request totals, timeout
-    /// totals, full-history latency histograms, rolling-window p50/p99
-    /// gauges, and shed / SLO-burn series.
+    /// Render the registry's scrape-only series: request totals, timeout
+    /// totals, rolling-window p50/p99 gauges, and shed / SLO-burn series.
+    /// The full-history histograms of [`MetricsRegistry::op_latencies`]
+    /// reach the scrape through the serve tier's counter table, which also
+    /// renders them into its `stats` op.
     pub fn samples(&self) -> Vec<Sample> {
         let mut out = Vec::new();
         let ops = self.ops.read().unwrap_or_else(|e| e.into_inner());
@@ -410,12 +412,11 @@ impl MetricsRegistry {
         let mut window_timeouts = 0u64;
         for (op, stats) in ops.iter() {
             let labels = vec![("op", (*op).to_owned())];
-            let latency = stats.latency.snapshot();
             out.push(Sample {
                 name: "omq_requests_total",
                 help: "Requests executed by the engine, by op family.",
                 labels: labels.clone(),
-                value: Value::Counter(latency.count),
+                value: Value::Counter(stats.latency.snapshot().count),
             });
             let timeouts = stats.timeouts.get();
             if timeouts > 0 {
@@ -426,16 +427,6 @@ impl MetricsRegistry {
                     value: Value::Counter(timeouts),
                 });
             }
-            out.push(Sample {
-                name: "omq_request_duration_us",
-                help: "Request wall time in microseconds, log-bucketed.",
-                labels: labels.clone(),
-                value: Value::Histogram {
-                    buckets: latency.buckets.to_vec(),
-                    count: latency.count,
-                    sum_us: latency.sum_ns / 1_000,
-                },
-            });
             let win = stats.window.snapshot();
             window_count += win.count;
             window_timeouts += win.timeouts;
@@ -528,7 +519,9 @@ impl Value {
         }
     }
 
-    fn merge(&mut self, other: &Value) {
+    /// Folds `other` into `self`: counters, gauges and histogram buckets
+    /// add up, so per-shard shares of one series become its process total.
+    pub fn merge(&mut self, other: &Value) {
         match (self, other) {
             (Value::Counter(a), Value::Counter(b)) => *a += b,
             (Value::Gauge(a), Value::Gauge(b)) => *a += b,
@@ -757,8 +750,6 @@ mod tests {
         assert!(text.contains("omq_request_timeouts_total{op=\"serve.contains\"} 1"));
         assert!(text.contains("omq_requests_shed_total 1"));
         assert!(text.contains("omq_shed_slo_burn_ratio 0.25"));
-        assert!(text.contains("# TYPE omq_request_duration_us histogram"));
-        assert!(text.contains("omq_request_duration_us_count{op=\"serve.contains\"} 2"));
         assert!(text.contains("quantile=\"0.99\""));
     }
 
@@ -776,7 +767,6 @@ mod tests {
         assert_eq!((op, h.count, h.sum_ns), ("serve.stats", 3, 4_500));
         let text = render_prometheus(&reg.samples());
         assert!(text.contains("omq_requests_total{op=\"serve.stats\"} 3\n"));
-        assert!(text.contains("omq_request_duration_us_sum{op=\"serve.stats\"} 4\n"));
     }
 
     #[test]

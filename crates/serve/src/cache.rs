@@ -9,8 +9,8 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// Cumulative cache counters (monotone; exposed in `stats` responses and
-/// the serve benchmark rows).
+/// Cache counters, monotone except `entries` (exposed in `stats`
+/// responses and the serve benchmark rows).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: usize,
@@ -23,6 +23,8 @@ pub struct CacheStats {
     /// hit also counts as a hit); the gap `hits - alias_hits` is the
     /// plain same-name hit count.
     pub alias_hits: usize,
+    /// Live entries when the counters were read (a gauge, not a total).
+    pub entries: usize,
 }
 
 /// An LRU map with fixed capacity. Capacity 0 disables storage entirely
@@ -46,6 +48,15 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         }
     }
 
+    /// Counts a hit served without a lookup: the caller took the value
+    /// from a concurrent computation of the same key.
+    pub fn count_hit(&mut self, alias: bool) {
+        self.stats.hits += 1;
+        if alias {
+            self.stats.alias_hits += 1;
+        }
+    }
+
     /// Looks `key` up, refreshing its recency on a hit.
     pub fn get(&mut self, key: &K) -> Option<V> {
         self.get_tagged(key, false)
@@ -59,11 +70,9 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         match self.map.get_mut(key) {
             Some((v, stamp)) => {
                 *stamp = self.clock;
-                self.stats.hits += 1;
-                if alias {
-                    self.stats.alias_hits += 1;
-                }
-                Some(v.clone())
+                let v = v.clone();
+                self.count_hit(alias);
+                Some(v)
             }
             None => {
                 self.stats.misses += 1;
@@ -107,7 +116,10 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        CacheStats {
+            entries: self.map.len(),
+            ..self.stats
+        }
     }
 }
 

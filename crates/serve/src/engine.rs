@@ -23,8 +23,9 @@
 //! barriers (they mutate the registry), as are the versioned-store ops
 //! (`assert`/`retract`/`snapshot` and store-backed `evaluate` — they
 //! advance or read a named store's version history and maintained chase
-//! fixpoint); maximal runs of parallel-safe requests between barriers are
-//! fanned out across the pool with
+//! fixpoint), as are `stats` and `metrics` (they report every earlier
+//! request of the batch); maximal runs of parallel-safe requests between
+//! barriers are fanned out across the pool with
 //! `omq_chase::parallel_indexed`. Every solver invocation inside a worker
 //! runs with inner `threads = 1` — the pool parallelism is *across*
 //! requests, never nested — which also makes every response byte-identical
@@ -52,7 +53,7 @@ use omq_guarded::{compile_encoding, EncodingArtifact, EncodingConfig};
 use omq_model::display::render_atom;
 use omq_model::{parse_tgd, Instance, Omq, Term, Vocabulary};
 use omq_obs::flight::{FlightRecorder, SpanTree, TreeSink};
-use omq_obs::metrics::{MetricsRegistry, Sample, Value};
+use omq_obs::metrics::MetricsRegistry;
 use omq_obs::{Aggregator, JsonlSink, Sink};
 use omq_rewrite::{DirectRewrite, RewriteArtifact, RewriteSource, XRewriteConfig};
 use omq_store::{MaintainedStore, StoreConfig, StoreStats};
@@ -64,6 +65,7 @@ use crate::key::{OmqKey, RewriteCfgKey};
 use crate::protocol::{Op, Request, Response};
 use crate::reactor::RuntimeStats;
 use crate::registry::Registry;
+use crate::stats;
 use crate::tier::{DiskTier, DiskTierStats, PortableArtifact};
 
 /// Key of the rewrite-artifact cache.
@@ -143,86 +145,6 @@ fn sample_trace(trace_id: u64, rate: f64) -> bool {
         return false;
     }
     (splitmix64(trace_id) as f64) < rate * (u64::MAX as f64)
-}
-
-pub(crate) fn counter_sample(
-    name: &'static str,
-    help: &'static str,
-    labels: Vec<(&'static str, String)>,
-    v: u64,
-) -> Sample {
-    Sample {
-        name,
-        help,
-        labels,
-        value: Value::Counter(v),
-    }
-}
-
-pub(crate) fn gauge_sample(
-    name: &'static str,
-    help: &'static str,
-    labels: Vec<(&'static str, String)>,
-    v: f64,
-) -> Sample {
-    Sample {
-        name,
-        help,
-        labels,
-        value: Value::Gauge(v),
-    }
-}
-
-/// Process-global scrape samples: flight-recorder occupancy and the hom
-/// kernel's global counters. These must be folded into a scrape exactly
-/// once per process — per-engine (`local_samples`) placement would
-/// multiply them by the shard count.
-pub(crate) fn global_samples(flight: &FlightRecorder) -> Vec<Sample> {
-    let (offered, retained_total, recent_len, retained_len) = flight.counts();
-    let h = omq_chase::global_hom_snapshot();
-    let mut out = vec![
-        counter_sample(
-            "omq_flight_offered_total",
-            "Request trees offered to the flight recorder.",
-            Vec::new(),
-            offered,
-        ),
-        counter_sample(
-            "omq_flight_retained_total",
-            "Request trees retained by tail-based sampling (shed/timeout/slow).",
-            Vec::new(),
-            retained_total,
-        ),
-        gauge_sample(
-            "omq_flight_ring_entries",
-            "Current flight-recorder ring occupancy.",
-            vec![("ring", "recent".to_owned())],
-            recent_len as f64,
-        ),
-        gauge_sample(
-            "omq_flight_ring_entries",
-            "Current flight-recorder ring occupancy.",
-            vec![("ring", "retained".to_owned())],
-            retained_len as f64,
-        ),
-    ];
-    for (kind, v) in [
-        ("candidates_scanned", h.candidates_scanned),
-        ("backtracks", h.backtracks),
-        ("homs_found", h.homs_found),
-        ("plans_compiled", h.plans_compiled),
-        ("plan_cache_hits", h.plan_cache_hits),
-        ("prefilter_rejects", h.prefilter_rejects),
-        ("plans_reoptimized", h.plans_reoptimized),
-    ] {
-        out.push(counter_sample(
-            "omq_hom_events_total",
-            "Homomorphism-kernel events (process-global), by kind.",
-            vec![("kind", kind.to_owned())],
-            v,
-        ));
-    }
-    out
 }
 
 /// Shared body of the `trace_dump` op (the sharded front end answers it
@@ -344,18 +266,76 @@ impl RewriteSource for CachingSource<'_> {
     }
 }
 
-/// A finished verdict computation as published to followers: the rendered
-/// fields (or structured error) plus the `timed_out` flag.
-type VerdictOutcome = (Result<Vec<(String, Json)>, ServeError>, bool);
+/// A finished op: the rendered fields (or structured error) plus the
+/// `timed_out` flag. Verdict computations publish it to their followers.
+type OpOutcome = (Result<Vec<(String, Json)>, ServeError>, bool);
 
-/// One in-flight `contains`/`equivalent` computation that concurrent
-/// requests on the same verdict key wait on instead of repeating.
-struct InflightSlot {
-    done: Mutex<Option<VerdictOutcome>>,
+/// One in-flight computation that concurrent callers on the same key
+/// wait on instead of repeating.
+struct InflightSlot<V> {
+    done: Mutex<Option<V>>,
     cv: Condvar,
     /// Trace id of the leader request, so followers can link their own
     /// trace to the computation that actually answered them.
     leader_trace: u64,
+}
+
+/// Single-flight map: the first caller on a key (the leader) computes,
+/// every caller that arrives while it runs waits on its slot and clones
+/// the outcome.
+struct SingleFlight<K, V> {
+    slots: Mutex<HashMap<K, Arc<InflightSlot<V>>>>,
+}
+
+impl<K: Eq + std::hash::Hash + Clone, V: Clone> SingleFlight<K, V> {
+    fn new() -> Self {
+        SingleFlight {
+            slots: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The outcome for `key`, plus the leader's trace id when this caller
+    /// followed rather than led. A caller that may not `coalesce` (see
+    /// `execute_one`) always computes alone.
+    fn run(
+        &self,
+        key: &K,
+        coalesce: bool,
+        trace_id: u64,
+        compute: impl FnOnce() -> V,
+    ) -> (V, Option<u64>) {
+        if !coalesce {
+            return (compute(), None);
+        }
+        let (slot, leader) = {
+            let mut slots = self.slots.lock().unwrap();
+            match slots.get(key) {
+                Some(slot) => (Arc::clone(slot), false),
+                None => {
+                    let slot = Arc::new(InflightSlot {
+                        done: Mutex::new(None),
+                        cv: Condvar::new(),
+                        leader_trace: trace_id,
+                    });
+                    slots.insert(key.clone(), Arc::clone(&slot));
+                    (slot, true)
+                }
+            }
+        };
+        if leader {
+            let out = compute();
+            *slot.done.lock().unwrap() = Some(out.clone());
+            slot.cv.notify_all();
+            self.slots.lock().unwrap().remove(key);
+            return (out, None);
+        }
+        let mut done = slot.done.lock().unwrap();
+        while done.is_none() {
+            done = slot.cv.wait(done).unwrap();
+        }
+        let out = done.clone().expect("leader published before notifying");
+        (out, Some(slot.leader_trace))
+    }
 }
 
 /// One registration name's versioned store plus the vocabulary its facts
@@ -369,8 +349,8 @@ struct NamedStore {
 /// The concurrent OMQ serving engine. Shared across connections; all
 /// methods take `&self`.
 pub struct Engine {
-    cfg: EngineConfig,
-    registry: RwLock<Registry>,
+    pub(crate) cfg: EngineConfig,
+    pub(crate) registry: RwLock<Registry>,
     rewrites: Mutex<LruCache<RewriteKey, PortableArtifact>>,
     verdicts: Mutex<LruCache<VerdictKey, Vec<(String, Json)>>>,
     encodings: Mutex<LruCache<OmqKey, EncodingArtifact>>,
@@ -380,7 +360,10 @@ pub struct Engine {
     /// In-flight `contains`/`equivalent` computations, keyed like the
     /// verdict cache; concurrent deadline-free requests on the same key
     /// join the leader instead of recomputing.
-    inflight: Mutex<HashMap<VerdictKey, Arc<InflightSlot>>>,
+    inflight: SingleFlight<VerdictKey, OpOutcome>,
+    /// In-flight encoding compiles, keyed like the encoding cache: a
+    /// guarded lhs asked about twice in one batch compiles once.
+    compiling: SingleFlight<OmqKey, Option<EncodingArtifact>>,
     /// Requests answered by joining an in-flight computation.
     coalesced_hits: AtomicU64,
     /// Underlying solver invocations for `contains`/`equivalent` (the
@@ -409,7 +392,7 @@ pub struct Engine {
     /// When set (by the reactor / sharded front end), the `stats` op
     /// appends a `"reactor"` block with uptime, connection, queue, and
     /// shard-occupancy counters.
-    runtime: Option<Arc<RuntimeStats>>,
+    pub(crate) runtime: Option<Arc<RuntimeStats>>,
 }
 
 impl Engine {
@@ -424,7 +407,8 @@ impl Engine {
             verdicts: Mutex::new(LruCache::new(cap)),
             encodings: Mutex::new(LruCache::new(cap)),
             disk,
-            inflight: Mutex::new(HashMap::new()),
+            inflight: SingleFlight::new(),
+            compiling: SingleFlight::new(),
             coalesced_hits: AtomicU64::new(0),
             verdict_computations: AtomicU64::new(0),
             stores: Mutex::new(HashMap::new()),
@@ -515,11 +499,15 @@ impl Engine {
             // responses are byte-identical to a sequential execution.
             // Store-backed evaluates (no one-shot facts) are barriers too —
             // they may advance fixpoint maintenance under their own budget.
+            // So are `stats` and `metrics`: they report the state after
+            // every earlier request of the batch.
             let parallel_safe = |op: &Op| match op {
                 Op::Register { .. }
                 | Op::Assert { .. }
                 | Op::Retract { .. }
-                | Op::Snapshot { .. } => false,
+                | Op::Snapshot { .. }
+                | Op::Stats
+                | Op::Metrics => false,
                 Op::Evaluate { facts, .. } => !facts.is_empty(),
                 _ => true,
             };
@@ -577,6 +565,22 @@ impl Engine {
     }
 
     fn execute_one(&self, item: &Result<Request, Box<Response>>, arrival: Instant) -> Response {
+        self.answer(item, arrival, |op, budget, coalesce, trace_id| {
+            self.run_op(op, budget, coalesce, trace_id)
+        })
+    }
+
+    /// Answers one request with `run` (given the op, its budget, whether
+    /// it may coalesce, and its trace id) inside the full request
+    /// lifecycle: deadline, instrumentation, and one telemetry record.
+    /// The sharded front end answers `stats` and `metrics` through here on
+    /// shard 0, so they are recorded like every other request.
+    pub(crate) fn answer(
+        &self,
+        item: &Result<Request, Box<Response>>,
+        arrival: Instant,
+        run: impl FnOnce(&Op, &Budget, bool, u64) -> OpOutcome,
+    ) -> Response {
         let req = match item {
             Ok(req) => req,
             Err(resp) => return (**resp).clone(),
@@ -625,7 +629,7 @@ impl Engine {
         let started = Instant::now();
         let (mut outcome, timed_out) = {
             let _root = omq_obs::span(op_name(&req.op));
-            self.run_op(&req.op, &budget, coalesce, req.trace_id)
+            run(&req.op, &budget, coalesce, req.trace_id)
         };
         let tree = flight_sink.map(|fs| fs.take()).unwrap_or_default();
         self.record(req, started.elapsed(), timed_out, tree);
@@ -798,59 +802,27 @@ impl Engine {
         vkey: &VerdictKey,
         coalesce: bool,
         trace_id: u64,
-        compute: impl FnOnce() -> (Result<Vec<(String, Json)>, ServeError>, bool),
-    ) -> (Result<Vec<(String, Json)>, ServeError>, bool) {
-        if !coalesce {
+        compute: impl FnOnce() -> OpOutcome,
+    ) -> OpOutcome {
+        let (out, leader_trace) = self.inflight.run(vkey, coalesce, trace_id, || {
             self.verdict_computations.fetch_add(1, Ordering::Relaxed);
-            return compute();
-        }
-        let (slot, leader) = {
-            let mut inflight = self.inflight.lock().unwrap();
-            match inflight.get(vkey) {
-                Some(slot) => (Arc::clone(slot), false),
-                None => {
-                    let slot = Arc::new(InflightSlot {
-                        done: Mutex::new(None),
-                        cv: Condvar::new(),
-                        leader_trace: trace_id,
-                    });
-                    inflight.insert(vkey.clone(), Arc::clone(&slot));
-                    (slot, true)
-                }
-            }
-        };
-        if leader {
-            self.verdict_computations.fetch_add(1, Ordering::Relaxed);
-            let out = compute();
-            *slot.done.lock().unwrap() = Some(out.clone());
-            slot.cv.notify_all();
-            self.inflight.lock().unwrap().remove(vkey);
-            out
-        } else {
+            compute()
+        });
+        if let Some(leader_trace) = leader_trace {
             self.coalesced_hits.fetch_add(1, Ordering::Relaxed);
             omq_obs::counter("serve.coalesced", 1);
             // Link this follower's trace to the leader's computation: the
             // counter value is the leader's trace id, so a flight-recorder
             // or JSONL capture of the follower names the span tree that
             // actually did the work.
-            omq_obs::counter("serve.coalesced.leader_trace", slot.leader_trace);
-            let mut done = slot.done.lock().unwrap();
-            while done.is_none() {
-                done = slot.cv.wait(done).unwrap();
-            }
-            done.clone().expect("leader published before notifying")
+            omq_obs::counter("serve.coalesced.leader_trace", leader_trace);
         }
+        out
     }
 
     /// Runs one job; the bool is the timed-out flag (expiry observed *and*
     /// the answer degraded because of it).
-    fn run_op(
-        &self,
-        op: &Op,
-        budget: &Budget,
-        coalesce: bool,
-        trace_id: u64,
-    ) -> (Result<Vec<(String, Json)>, ServeError>, bool) {
+    fn run_op(&self, op: &Op, budget: &Budget, coalesce: bool, trace_id: u64) -> OpOutcome {
         match op {
             Op::Register {
                 name,
@@ -859,8 +831,9 @@ impl Engine {
                 query,
             } => (self.op_register(name, program, schema, query), false),
             Op::Classify { name } => (self.op_classify(name), false),
-            Op::Stats => (Ok(self.op_stats()), false),
-            Op::Metrics => (Ok(self.op_metrics()), false),
+            Op::Stats | Op::Metrics => {
+                (Ok(stats::op_fields(op, std::slice::from_ref(self))), false)
+            }
             Op::TraceDump => (Ok(self.op_trace_dump()), false),
             Op::Contains { lhs, rhs } => self.op_contains(lhs, rhs, budget, coalesce, trace_id),
             Op::Equivalent { lhs, rhs } => self.op_equivalent(lhs, rhs, budget, coalesce, trace_id),
@@ -928,319 +901,6 @@ impl Engine {
         ])
     }
 
-    fn op_stats(&self) -> Vec<(String, Json)> {
-        let (rw, vd, enc) = self.cache_stats();
-        let reg = self.registry.read().unwrap();
-        let cache_obj = |s: CacheStats, entries: usize| {
-            Json::obj([
-                ("hits", Json::num(s.hits)),
-                ("alias_hits", Json::num(s.alias_hits)),
-                ("misses", Json::num(s.misses)),
-                ("insertions", Json::num(s.insertions)),
-                ("evictions", Json::num(s.evictions)),
-                ("entries", Json::num(entries)),
-            ])
-        };
-        let mut fields = vec![
-            ("registered".to_owned(), Json::num(reg.len())),
-            ("distinct_keys".to_owned(), Json::num(reg.distinct_keys())),
-            // Per-op latency histograms from the metrics registry (wall
-            // clock of the whole request, including cache hits): the same
-            // samples as the scrape's `omq_request_duration_us`, shared
-            // across shards.
-            (
-                "latency".to_owned(),
-                Json::Obj(
-                    self.metrics
-                        .op_latencies()
-                        .into_iter()
-                        .map(|(op, h)| {
-                            (
-                                op.to_owned(),
-                                Json::obj([
-                                    ("count", Json::num(h.count as usize)),
-                                    ("p50_us", Json::num(h.percentile_us(0.50) as usize)),
-                                    ("p99_us", Json::num(h.percentile_us(0.99) as usize)),
-                                    ("total_us", Json::num((h.sum_ns / 1_000) as usize)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "rewrite_cache".to_owned(),
-                cache_obj(rw, self.rewrites.lock().unwrap().len()),
-            ),
-            (
-                "verdict_cache".to_owned(),
-                cache_obj(vd, self.verdicts.lock().unwrap().len()),
-            ),
-            (
-                "encoding_cache".to_owned(),
-                cache_obj(enc, self.encodings.lock().unwrap().len()),
-            ),
-            // Duplicated at the top level as the headline warm-path signal
-            // (dashboards and the CI gate key on this one number).
-            ("encoding_cache_hits".to_owned(), Json::num(enc.hits)),
-            // Versioned-store mutation and fixpoint-maintenance counters,
-            // summed across every named store (see `omq_store::StoreStats`).
-            ("store".to_owned(), {
-                let (s, stores) = self.store_stats();
-                Json::obj([
-                    ("stores", Json::num(stores)),
-                    ("asserts", Json::num(s.asserts as usize)),
-                    ("retracts", Json::num(s.retracts as usize)),
-                    ("facts_asserted", Json::num(s.facts_asserted as usize)),
-                    ("facts_retracted", Json::num(s.facts_retracted as usize)),
-                    ("snapshots", Json::num(s.snapshots as usize)),
-                    ("compactions", Json::num(s.compactions as usize)),
-                    ("novelty_size", Json::num(s.novelty_size as usize)),
-                    ("dred_deleted", Json::num(s.dred_deleted as usize)),
-                    ("rederived", Json::num(s.rederived as usize)),
-                    (
-                        "incremental_resumes",
-                        Json::num(s.incremental_resumes as usize),
-                    ),
-                    ("full_rechases", Json::num(s.full_rechases as usize)),
-                    ("cone_batches", Json::num(s.cone_batches as usize)),
-                    ("cone_reuses", Json::num(s.cone_reuses as usize)),
-                ])
-            }),
-            (
-                "threads".to_owned(),
-                Json::num(effective_threads(self.cfg.threads, usize::MAX)),
-            ),
-            (
-                "cache_capacity".to_owned(),
-                Json::num(self.cfg.cache_capacity),
-            ),
-            // Process-global homomorphism-kernel counters: monotone across
-            // the process lifetime, so they aggregate work from every
-            // request (and every engine) seen so far.
-            ("hom_kernel".to_owned(), {
-                let h = omq_chase::global_hom_snapshot();
-                Json::obj([
-                    (
-                        "candidates_scanned",
-                        Json::num(h.candidates_scanned as usize),
-                    ),
-                    ("backtracks", Json::num(h.backtracks as usize)),
-                    ("homs_found", Json::num(h.homs_found as usize)),
-                    ("plans_compiled", Json::num(h.plans_compiled as usize)),
-                    ("plan_cache_hits", Json::num(h.plan_cache_hits as usize)),
-                    ("prefilter_rejects", Json::num(h.prefilter_rejects as usize)),
-                    ("plans_reoptimized", Json::num(h.plans_reoptimized as usize)),
-                    ("est_ratio_le_1", Json::num(h.est_ratio_le_1 as usize)),
-                    ("est_ratio_le_4", Json::num(h.est_ratio_le_4 as usize)),
-                    ("est_ratio_gt_4", Json::num(h.est_ratio_gt_4 as usize)),
-                    (
-                        "sketch_build_us",
-                        Json::num((h.sketch_build_ns / 1_000) as usize),
-                    ),
-                ])
-            }),
-        ];
-        // In-flight request coalescing: followers answered without a solver
-        // run. The flat `coalesced_hits` is the headline number CI gates on;
-        // the object adds the computation denominator.
-        let (co_hits, co_runs) = self.coalescing_stats();
-        fields.push(("coalesced_hits".to_owned(), Json::num(co_hits as usize)));
-        fields.push((
-            "coalescing".to_owned(),
-            Json::obj([
-                ("hits", Json::num(co_hits as usize)),
-                ("computations", Json::num(co_runs as usize)),
-            ]),
-        ));
-        if let Some(d) = self.disk_stats() {
-            fields.push((
-                "artifact_disk".to_owned(),
-                Json::obj([
-                    ("hits", Json::num(d.hits as usize)),
-                    ("misses", Json::num(d.misses as usize)),
-                    ("stores", Json::num(d.stores as usize)),
-                    ("errors", Json::num(d.errors as usize)),
-                ]),
-            ));
-        }
-        if let Some(rt) = &self.runtime {
-            fields.push(("reactor".to_owned(), rt.to_json()));
-        }
-        fields
-    }
-
-    /// Scrape samples for engine-local state: cache tiers, coalescing,
-    /// the disk tier, store maintenance, and the registry size. Excludes
-    /// process-global series — the flight recorder, the hom kernel, and
-    /// the metrics registry itself — which the front end adds exactly
-    /// once (a sharded engine folds one `local_samples` per shard into a
-    /// single scrape; duplicated global series would multiply by the
-    /// shard count).
-    pub fn local_samples(&self) -> Vec<Sample> {
-        let mut out = Vec::new();
-        let (rw, vd, enc) = self.cache_stats();
-        let caches = [
-            ("rewrite", rw, self.rewrites.lock().unwrap().len()),
-            ("verdict", vd, self.verdicts.lock().unwrap().len()),
-            ("encoding", enc, self.encodings.lock().unwrap().len()),
-        ];
-        for (cache, s, entries) in caches {
-            let lbl = || vec![("cache", cache.to_owned())];
-            out.push(counter_sample(
-                "omq_cache_hits_total",
-                "Cache hits, by cache tier.",
-                lbl(),
-                s.hits as u64,
-            ));
-            out.push(counter_sample(
-                "omq_cache_misses_total",
-                "Cache misses, by cache tier.",
-                lbl(),
-                s.misses as u64,
-            ));
-            out.push(counter_sample(
-                "omq_cache_insertions_total",
-                "Cache insertions, by cache tier.",
-                lbl(),
-                s.insertions as u64,
-            ));
-            out.push(counter_sample(
-                "omq_cache_evictions_total",
-                "Cache evictions, by cache tier.",
-                lbl(),
-                s.evictions as u64,
-            ));
-            out.push(gauge_sample(
-                "omq_cache_entries",
-                "Live cache entries, by cache tier.",
-                lbl(),
-                entries as f64,
-            ));
-        }
-        let (co_hits, co_runs) = self.coalescing_stats();
-        out.push(counter_sample(
-            "omq_coalesced_total",
-            "Requests answered by joining an in-flight computation.",
-            Vec::new(),
-            co_hits,
-        ));
-        out.push(counter_sample(
-            "omq_verdict_computations_total",
-            "Underlying solver invocations for contains/equivalent.",
-            Vec::new(),
-            co_runs,
-        ));
-        if let Some(d) = self.disk_stats() {
-            for (event, v) in [
-                ("hit", d.hits),
-                ("miss", d.misses),
-                ("store", d.stores),
-                ("error", d.errors),
-            ] {
-                out.push(counter_sample(
-                    "omq_artifact_disk_total",
-                    "Persisted artifact tier events.",
-                    vec![("event", event.to_owned())],
-                    v,
-                ));
-            }
-        }
-        let (s, stores) = self.store_stats();
-        for (op, v) in [
-            ("assert", s.asserts),
-            ("retract", s.retracts),
-            ("snapshot", s.snapshots),
-            ("compact", s.compactions),
-        ] {
-            out.push(counter_sample(
-                "omq_store_ops_total",
-                "Versioned-store operations, by kind.",
-                vec![("op", op.to_owned())],
-                v,
-            ));
-        }
-        for (dir, v) in [
-            ("asserted", s.facts_asserted),
-            ("retracted", s.facts_retracted),
-        ] {
-            out.push(counter_sample(
-                "omq_store_facts_total",
-                "Base facts asserted/retracted across stores.",
-                vec![("dir", dir.to_owned())],
-                v,
-            ));
-        }
-        for (kind, v) in [
-            ("incremental_resume", s.incremental_resumes),
-            ("full_rechase", s.full_rechases),
-            ("dred_deleted", s.dred_deleted),
-            ("rederived", s.rederived),
-            ("cone_batch", s.cone_batches),
-            ("cone_reuse", s.cone_reuses),
-        ] {
-            out.push(counter_sample(
-                "omq_store_maintenance_total",
-                "Incremental chase-maintenance events, by kind.",
-                vec![("kind", kind.to_owned())],
-                v,
-            ));
-        }
-        out.push(gauge_sample(
-            "omq_store_novelty_rows",
-            "Uncompacted novelty-overlay rows across stores.",
-            Vec::new(),
-            s.novelty_size as f64,
-        ));
-        out.push(gauge_sample(
-            "omq_stores",
-            "Named versioned stores.",
-            Vec::new(),
-            stores as f64,
-        ));
-        let reg = self.registry.read().unwrap();
-        out.push(gauge_sample(
-            "omq_registered",
-            "Registered OMQ names.",
-            Vec::new(),
-            reg.len() as f64,
-        ));
-        out.push(gauge_sample(
-            "omq_registry_distinct_keys",
-            "Distinct canonical OMQ keys.",
-            Vec::new(),
-            reg.distinct_keys() as f64,
-        ));
-        drop(reg);
-        // The runtime block is attached to exactly one engine (shard 0),
-        // so reactor gauges appear once per process.
-        if let Some(rt) = &self.runtime {
-            out.extend(rt.samples());
-        }
-        out
-    }
-
-    /// Render the full Prometheus text exposition for this engine:
-    /// registry samples + process-global samples + engine-local samples.
-    /// (The sharded front end assembles its own scrape from the shared
-    /// registry plus every shard's `local_samples`.)
-    pub fn metrics_text(&self) -> String {
-        let mut samples = self.metrics.samples();
-        samples.extend(global_samples(&self.flight));
-        samples.extend(self.local_samples());
-        omq_obs::metrics::render_prometheus(&samples)
-    }
-
-    fn op_metrics(&self) -> Vec<(String, Json)> {
-        vec![
-            (
-                "content_type".to_owned(),
-                Json::str(omq_obs::metrics::PROMETHEUS_CONTENT_TYPE),
-            ),
-            ("exposition".to_owned(), Json::str(self.metrics_text())),
-        ]
-    }
-
     fn op_trace_dump(&self) -> Vec<(String, Json)> {
         trace_dump_fields(&self.flight)
     }
@@ -1264,32 +924,43 @@ impl Engine {
     /// name-pool bounds cannot encode. Compilation runs on a *clone* of the
     /// request vocabulary, so cache state (compile vs. hit) can never leak
     /// into the interning order — and therefore the rendered bytes — of the
-    /// main solver run. Only complete artifacts are stored.
+    /// main solver run. Only complete artifacts are stored. Coalesceable
+    /// requests (see `execute_one`) share one in-flight compile per lhs
+    /// key; a follower that takes the leader's artifact counts as a hit.
     fn guarded_encoding(
         &self,
         reg: &crate::registry::Registered,
         voc: &Vocabulary,
         budget: &Budget,
+        coalesce: bool,
+        trace_id: u64,
     ) -> Option<EncodingArtifact> {
         if reg.language != OmqLanguage::Guarded {
             return None;
         }
         let alias = reg.alias_of.is_some();
-        if let Some(hit) = self.encodings.lock().unwrap().get_tagged(&reg.key, alias) {
-            return Some(hit);
-        }
-        let cfg = EncodingConfig {
-            budget: budget.clone(),
-            ..EncodingConfig::default()
+        let fetch = || {
+            if let Some(hit) = self.encodings.lock().unwrap().get_tagged(&reg.key, alias) {
+                return Some(hit);
+            }
+            let cfg = EncodingConfig {
+                budget: budget.clone(),
+                ..EncodingConfig::default()
+            };
+            let art = compile_encoding(&reg.omq, &mut voc.clone(), &cfg)?;
+            if art.complete {
+                self.encodings
+                    .lock()
+                    .unwrap()
+                    .insert(reg.key.clone(), art.clone());
+            }
+            Some(art)
         };
-        let art = compile_encoding(&reg.omq, &mut voc.clone(), &cfg)?;
-        if art.complete {
-            self.encodings
-                .lock()
-                .unwrap()
-                .insert(reg.key.clone(), art.clone());
+        let (art, leader) = self.compiling.run(&reg.key, coalesce, trace_id, fetch);
+        if leader.is_some() && art.is_some() {
+            self.encodings.lock().unwrap().count_hit(alias);
         }
-        Some(art)
+        art
     }
 
     fn containment_cfg(&self, budget: &Budget) -> ContainmentConfig {
@@ -1325,7 +996,7 @@ impl Engine {
             return (Ok(fields), false);
         }
         self.coalesced(&vkey.clone(), coalesce, trace_id, || {
-            let encoding = self.guarded_encoding(l, &voc, budget);
+            let encoding = self.guarded_encoding(l, &voc, budget, coalesce, trace_id);
             let mut cfg = self.containment_cfg(budget);
             // Hand the cached (or freshly compiled) lhs artifact to the
             // anytime ladder: its guarded rung reuses the
@@ -1429,8 +1100,9 @@ impl Engine {
         Ok(f(entry, &regs[0]))
     }
 
-    /// Store + maintenance counters summed across every named store.
-    fn store_stats(&self) -> (StoreStats, usize) {
+    /// Store + maintenance counters summed across every named store, and
+    /// the number of stores.
+    pub fn store_stats(&self) -> (StoreStats, usize) {
         let stores = self.stores.lock().unwrap();
         let mut total = StoreStats::default();
         for entry in stores.values() {
@@ -2364,16 +2036,24 @@ mod tests {
     /// The encoding artifact of a guarded lhs is compiled once per
     /// canonical key: a second `contains` with the same lhs (any rhs)
     /// probes the encoding cache instead of rebuilding the automaton, and
-    /// the response bytes are identical either way.
+    /// the response bytes are identical either way. On four workers the
+    /// two `contains` run concurrently, so the second must join the first
+    /// one's compile instead of missing the cache as well.
     #[test]
     fn warm_guarded_contains_hits_the_encoding_cache() {
+        for threads in std::iter::once(1).chain(std::iter::repeat_n(4, 50)) {
+            guarded_lhs_compiles_once(threads);
+        }
+    }
+
+    fn guarded_lhs_compiles_once(threads: usize) {
         let eng = Engine::new(EngineConfig {
-            threads: 1,
+            threads,
             ..EngineConfig::default()
         });
         let guarded = r#"{"op":"register","name":"g","program":"G(X,Y,Z), R(X,Y) -> exists W . G(Y,Z,W), R(Y,Z)\nq :- R(X,Y), R(Y,Z)","schema":["G","R"],"query":"q"}"#;
-        let r1 = r#"{"op":"register","name":"r1","program":"q :- R(X,Y)","schema":["G","R"],"query":"q"}"#;
-        let r2 = r#"{"op":"register","name":"r2","program":"q :- G(X,Y,Z)","schema":["G","R"],"query":"q"}"#;
+        let r1 = r#"{"op":"register","name":"r1","program":"q :- R(X,X)","schema":["G","R"],"query":"q"}"#;
+        let r2 = r#"{"op":"register","name":"r2","program":"q :- G(X,X,X)","schema":["G","R"],"query":"q"}"#;
         let batch = vec![
             req(guarded),
             req(r1),
@@ -2396,8 +2076,12 @@ mod tests {
         assert_eq!(e1.get("consistent"), Some(&Json::Bool(true)));
         assert_eq!(e1.get("nonempty"), Some(&Json::Bool(true)));
         let (_, _, enc) = eng.cache_stats();
-        assert_eq!(enc.insertions, 1, "compiled exactly once");
-        assert_eq!(enc.hits, 1, "warm lhs probe hits");
+        assert_eq!(enc.misses, 1, "one cold probe ({threads} threads)");
+        assert_eq!(
+            enc.insertions, 1,
+            "compiled exactly once ({threads} threads)"
+        );
+        assert_eq!(enc.hits, 1, "warm lhs probe hits ({threads} threads)");
         let stats = Json::Obj(out[5].outcome.as_ref().unwrap().clone());
         assert_eq!(
             stats.get("encoding_cache_hits").and_then(Json::as_u64),

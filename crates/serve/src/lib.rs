@@ -22,6 +22,7 @@
 //! * [`engine`] — scheduling, deadlines, caching, coalescing, solver
 //!   dispatch;
 //! * [`shard`] — canonical-key-hash sharding across N engines;
+//! * [`stats`] — the counter table behind the `stats` op and the scrape;
 //! * [`admission`] — queue-depth admission control (load shedding);
 //! * [`server`] — the stdin/stdout stream transport;
 //! * [`reactor`] — the nonblocking, readiness-polled TCP front end.
@@ -37,6 +38,7 @@ pub mod reactor;
 pub mod registry;
 pub mod server;
 pub mod shard;
+pub mod stats;
 pub mod tier;
 
 pub use admission::Admission;

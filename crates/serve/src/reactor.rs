@@ -32,11 +32,9 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use omq_obs::flight::{FlightRecorder, SpanTree};
-use omq_obs::metrics::{MetricsRegistry, Sample, PROMETHEUS_CONTENT_TYPE};
+use omq_obs::metrics::{MetricsRegistry, PROMETHEUS_CONTENT_TYPE};
 
 use crate::admission::Admission;
-use crate::engine::{counter_sample, gauge_sample};
-use crate::json::Json;
 use crate::server::BatchExecutor;
 
 /// Reactor construction knobs.
@@ -61,20 +59,21 @@ impl ReactorConfig {
 
 /// Serve-tier runtime counters: uptime, connection gauges, batch/request
 /// totals, shedding, and per-shard occupancy. Shared by the reactor, the
-/// admission gate, and the sharded executor; surfaced by the `stats` op
-/// as the `"reactor"` block (obs taxonomy `serve.reactor.*`).
+/// admission gate, and the sharded executor; rendered by the counter
+/// table ([`crate::stats`]) as the `stats` op's `"reactor"` block and its
+/// scrape series (obs taxonomy `serve.reactor.*`).
 #[derive(Debug)]
 pub struct RuntimeStats {
-    started: Instant,
-    connections_live: AtomicUsize,
-    connections_peak: AtomicUsize,
-    accepted: AtomicU64,
-    batches: AtomicU64,
-    requests: AtomicU64,
-    shed: AtomicU64,
+    pub(crate) started: Instant,
+    pub(crate) connections_live: AtomicUsize,
+    pub(crate) connections_peak: AtomicUsize,
+    pub(crate) accepted: AtomicU64,
+    pub(crate) batches: AtomicU64,
+    pub(crate) requests: AtomicU64,
+    pub(crate) shed: AtomicU64,
     /// The shared queue-depth gate (watermark `0` = shedding off).
     pub admission: Admission,
-    shard_requests: Vec<AtomicU64>,
+    pub(crate) shard_requests: Vec<AtomicU64>,
     /// Telemetry plane, when the owning front end has one: the metrics
     /// registry (SLO-burn accounting for sheds) and the flight recorder
     /// (shed requests leave a retained entry even though they never
@@ -149,70 +148,6 @@ impl RuntimeStats {
         }
     }
 
-    /// Reactor/admission scrape samples. Folded into a scrape once by
-    /// whichever engine holds the runtime handle (shard 0).
-    pub fn samples(&self) -> Vec<Sample> {
-        let mut out = vec![
-            gauge_sample(
-                "omq_connections_live",
-                "Currently open client connections.",
-                Vec::new(),
-                self.connections_live.load(Ordering::Relaxed) as f64,
-            ),
-            gauge_sample(
-                "omq_connections_peak",
-                "High-water mark of concurrently open connections.",
-                Vec::new(),
-                self.connections_peak.load(Ordering::Relaxed) as f64,
-            ),
-            counter_sample(
-                "omq_connections_accepted_total",
-                "Accepted client connections.",
-                Vec::new(),
-                self.accepted.load(Ordering::Relaxed),
-            ),
-            counter_sample(
-                "omq_batches_total",
-                "Request batches entering workers.",
-                Vec::new(),
-                self.batches.load(Ordering::Relaxed),
-            ),
-            counter_sample(
-                "omq_reactor_requests_total",
-                "Requests entering workers (pre-admission).",
-                Vec::new(),
-                self.requests.load(Ordering::Relaxed),
-            ),
-            counter_sample(
-                "omq_reactor_shed_total",
-                "Requests answered with a structured shed error.",
-                Vec::new(),
-                self.shed.load(Ordering::Relaxed),
-            ),
-            gauge_sample(
-                "omq_admission_queue_depth",
-                "Requests admitted but not yet finished.",
-                Vec::new(),
-                self.admission.depth() as f64,
-            ),
-            gauge_sample(
-                "omq_admission_watermark",
-                "Queue-depth shedding watermark (0 = shedding off).",
-                Vec::new(),
-                self.admission.watermark() as f64,
-            ),
-        ];
-        for (i, slot) in self.shard_requests.iter().enumerate() {
-            out.push(counter_sample(
-                "omq_shard_requests_total",
-                "Requests routed to each shard.",
-                vec![("shard", i.to_string())],
-                slot.load(Ordering::Relaxed),
-            ));
-        }
-        out
-    }
-
     /// `n` requests were routed to `shard` (see [`crate::shard`]).
     pub fn record_shard(&self, shard: usize, n: usize) {
         if let Some(slot) = self.shard_requests.get(shard) {
@@ -226,56 +161,6 @@ impl RuntimeStats {
 
     pub fn requests_total(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
-    }
-
-    /// The `stats` op's `"reactor"` block.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "uptime_s",
-                Json::num(self.started.elapsed().as_secs() as usize),
-            ),
-            (
-                "connections",
-                Json::obj([
-                    (
-                        "live",
-                        Json::num(self.connections_live.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "peak",
-                        Json::num(self.connections_peak.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "accepted",
-                        Json::num(self.accepted.load(Ordering::Relaxed) as usize),
-                    ),
-                ]),
-            ),
-            (
-                "batches",
-                Json::num(self.batches.load(Ordering::Relaxed) as usize),
-            ),
-            (
-                "requests",
-                Json::num(self.requests.load(Ordering::Relaxed) as usize),
-            ),
-            (
-                "shed",
-                Json::num(self.shed.load(Ordering::Relaxed) as usize),
-            ),
-            ("queue_depth", Json::num(self.admission.depth())),
-            ("watermark", Json::num(self.admission.watermark())),
-            (
-                "shards",
-                Json::Arr(
-                    self.shard_requests
-                        .iter()
-                        .map(|s| Json::num(s.load(Ordering::Relaxed) as usize))
-                        .collect(),
-                ),
-            ),
-        ])
     }
 }
 
@@ -759,33 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn runtime_stats_json_has_the_taxonomy_fields() {
-        let stats = RuntimeStats::new(3, 16);
-        stats.conn_opened();
-        stats.record_batch(5);
-        stats.record_shed();
-        stats.record_shard(1, 4);
-        let json = stats.to_json().to_string();
-        for field in [
-            "\"uptime_s\":",
-            "\"connections\":",
-            "\"live\":1",
-            "\"peak\":1",
-            "\"accepted\":1",
-            "\"batches\":1",
-            "\"requests\":5",
-            "\"shed\":1",
-            "\"queue_depth\":0",
-            "\"watermark\":16",
-            "\"shards\":[0,4,0]",
-        ] {
-            assert!(json.contains(field), "missing {field} in {json}");
-        }
-        stats.conn_closed();
-        assert!(stats.to_json().to_string().contains("\"live\":0"));
-    }
-
-    #[test]
     fn stall_watch_trips_only_on_a_stuck_nonempty_queue() {
         let mut w = StallWatch::new(3);
         // Empty queue never trips, no matter how long.
@@ -803,42 +661,6 @@ mod tests {
         assert!(!w.tick(4, 7));
         assert!(!w.tick(4, 7));
         assert!(w.tick(4, 7));
-    }
-
-    #[test]
-    fn runtime_samples_cover_the_reactor_taxonomy() {
-        let stats = RuntimeStats::new(2, 16);
-        stats.conn_opened();
-        stats.record_batch(5);
-        stats.record_shed_request(7, "serve.contains");
-        stats.record_shard(1, 4);
-        let samples = stats.samples();
-        let find = |name: &str| {
-            samples
-                .iter()
-                .find(|s| s.name == name)
-                .unwrap_or_else(|| panic!("missing sample {name}"))
-        };
-        for name in [
-            "omq_connections_live",
-            "omq_connections_peak",
-            "omq_connections_accepted_total",
-            "omq_batches_total",
-            "omq_reactor_requests_total",
-            "omq_reactor_shed_total",
-            "omq_admission_queue_depth",
-            "omq_admission_watermark",
-            "omq_shard_requests_total",
-        ] {
-            find(name);
-        }
-        assert_eq!(
-            samples
-                .iter()
-                .filter(|s| s.name == "omq_shard_requests_total")
-                .count(),
-            2
-        );
     }
 
     #[test]

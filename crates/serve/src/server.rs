@@ -31,7 +31,7 @@ impl BatchExecutor for Engine {
     }
 
     fn render_metrics(&self) -> Option<String> {
-        Some(self.metrics_text())
+        Some(crate::stats::metrics_text(std::slice::from_ref(self)))
     }
 }
 

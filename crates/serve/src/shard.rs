@@ -10,21 +10,24 @@
 //! by design), sharding just removes cross-request lock contention on
 //! the registry, the caches, and the named stores. Store mutations for a
 //! name consistently hit its shard, so each named store lives exactly
-//! once. `stats` is answered by shard 0, which carries the serve-tier
-//! [`RuntimeStats`] (per-shard occupancy included).
+//! once. `stats` and `metrics` are answered by the front end itself: both
+//! render the counter table ([`crate::stats`]) folded over every shard, so
+//! they report process totals and agree with each other, and both are
+//! recorded once on the shared telemetry like any other request.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use omq_obs::metrics::{render_prometheus, PROMETHEUS_CONTENT_TYPE};
+use std::time::Instant;
+
 use omq_obs::JsonlSink;
 
-use crate::engine::{global_samples, Engine, EngineConfig};
-use crate::json::Json;
+use crate::engine::{Engine, EngineConfig};
 use crate::protocol::{Op, Request, Response};
 use crate::reactor::RuntimeStats;
 use crate::server::BatchExecutor;
+use crate::stats;
 
 /// N engines plus the shared serve-tier counters.
 pub struct ShardedEngine {
@@ -38,8 +41,8 @@ enum Target {
     /// records it).
     Broadcast,
     Shard(usize),
-    /// Answered by the front end itself: `metrics` needs every shard's
-    /// local samples in one scrape, which no single engine can render.
+    /// Answered by the front end itself: `stats` and `metrics` fold every
+    /// shard, which no single engine can do.
     Front,
 }
 
@@ -50,8 +53,7 @@ impl ShardedEngine {
         let n = shards.max(1);
         let runtime = Arc::new(RuntimeStats::new(n, watermark));
         let mut engines: Vec<Engine> = (0..n).map(|_| Engine::new(cfg.clone())).collect();
-        // Shard 0 answers `stats`, so it is the one that renders the
-        // serve-tier block.
+        // The counter table reads the serve-tier block from shard 0.
         engines[0].set_runtime_stats(Arc::clone(&runtime));
         // One metrics registry and one flight recorder across every shard
         // (shard 0's become the shared pair): per-op latency windows and
@@ -69,23 +71,6 @@ impl ShardedEngine {
         }
     }
 
-    /// The full Prometheus exposition for the sharded front end: the
-    /// shared registry and process-global samples once, plus every
-    /// shard's local samples. `render_prometheus` merges same-name,
-    /// same-label series, so per-shard cache/store counters fold into
-    /// process totals. Registry-size gauges come from shard 0 only — the
-    /// registries are replicas, and summing replicas would overcount.
-    pub fn metrics_text(&self) -> String {
-        let mut samples = self.shards[0].metrics().samples();
-        samples.extend(global_samples(self.shards[0].flight()));
-        for (i, shard) in self.shards.iter().enumerate() {
-            samples.extend(shard.local_samples().into_iter().filter(|s| {
-                i == 0 || !matches!(s.name, "omq_registered" | "omq_registry_distinct_keys")
-            }));
-        }
-        render_prometheus(&samples)
-    }
-
     /// The shared serve-tier counters (hand these to the reactor).
     pub fn runtime(&self) -> Arc<RuntimeStats> {
         Arc::clone(&self.runtime)
@@ -95,8 +80,9 @@ impl ShardedEngine {
         self.shards.len()
     }
 
-    pub fn shard(&self, i: usize) -> &Engine {
-        &self.shards[i]
+    /// The shard engines, shard 0 first.
+    pub fn engines(&self) -> &[Engine] {
+        &self.shards
     }
 
     /// Streams every shard's request span trees to `sink`.
@@ -119,6 +105,13 @@ impl ShardedEngine {
         (h.finish() as usize) % self.shards.len()
     }
 
+    /// Answers a `stats` or `metrics` request over every shard.
+    fn answer_front(&self, item: &Result<Request, Box<Response>>) -> Response {
+        self.shards[0].answer(item, Instant::now(), |op, _, _, _| {
+            (Ok(stats::op_fields(op, &self.shards)), false)
+        })
+    }
+
     fn target(&self, item: &Result<Request, Box<Response>>) -> Target {
         let req = match item {
             Ok(req) => req,
@@ -127,10 +120,10 @@ impl ShardedEngine {
         };
         match &req.op {
             Op::Register { .. } => Target::Broadcast,
-            Op::Metrics => Target::Front,
+            Op::Stats | Op::Metrics => Target::Front,
             // Shard 0's flight recorder is the shared one, so it can
             // answer `trace_dump` for the whole process.
-            Op::Stats | Op::TraceDump => Target::Shard(0),
+            Op::TraceDump => Target::Shard(0),
             Op::Contains { lhs, .. } | Op::Equivalent { lhs, .. } | Op::Explain { lhs, .. } => {
                 Target::Shard(self.shard_of(lhs))
             }
@@ -173,35 +166,27 @@ impl BatchExecutor for ShardedEngine {
                     }
                     i += 1;
                 }
-                Target::Front => {
-                    let id = match &items[i] {
-                        Ok(req) => req.id.clone(),
-                        Err(_) => None,
-                    };
-                    self.runtime.record_shard(0, 1);
-                    out[i] = Some(Response::ok(
-                        id,
-                        vec![
-                            (
-                                "content_type".to_owned(),
-                                Json::str(PROMETHEUS_CONTENT_TYPE),
-                            ),
-                            ("exposition".to_owned(), Json::str(self.metrics_text())),
-                        ],
-                    ));
-                    i += 1;
-                }
-                Target::Shard(s) => {
+                target => {
                     let mut j = i + 1;
-                    while j < n && self.target(&items[j]) == Target::Shard(s) {
+                    while j < n && self.target(&items[j]) == target {
                         j += 1;
                     }
+                    // Front-end ops count on shard 0, whose telemetry
+                    // records them.
+                    let s = match target {
+                        Target::Shard(s) => s,
+                        _ => 0,
+                    };
                     self.runtime.record_shard(s, j - i);
-                    for (off, resp) in self.shards[s]
-                        .execute_batch(&items[i..j])
-                        .into_iter()
-                        .enumerate()
-                    {
+                    let answers = if target == Target::Front {
+                        items[i..j]
+                            .iter()
+                            .map(|item| self.answer_front(item))
+                            .collect()
+                    } else {
+                        self.shards[s].execute_batch(&items[i..j])
+                    };
+                    for (off, resp) in answers.into_iter().enumerate() {
                         out[i + off] = Some(resp);
                     }
                     i = j;
@@ -214,7 +199,7 @@ impl BatchExecutor for ShardedEngine {
     }
 
     fn render_metrics(&self) -> Option<String> {
-        Some(self.metrics_text())
+        Some(stats::metrics_text(&self.shards))
     }
 }
 
@@ -253,10 +238,6 @@ mod tests {
     fn shard_occupancy_counts_every_request() {
         let sharded = ShardedEngine::new(EngineConfig::default(), 2, 0);
         let _ = run(&sharded, LINES);
-        let json = sharded.runtime().to_json().to_string();
-        // Both registers broadcast (2 per shard) and the five routed
-        // requests land somewhere; totals live in the stats block.
-        assert!(json.contains("\"shards\":["), "missing occupancy: {json}");
         let stats = run(&sharded, &[r#"{"id":8,"op":"stats"}"#]);
         assert!(
             stats[0].contains("\"reactor\":{"),

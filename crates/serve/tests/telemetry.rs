@@ -4,8 +4,8 @@
 //!   request, cache, coalescing, store, and latency taxonomies;
 //! * every request is recorded once, in the metrics registry: the
 //!   `stats` op's `latency` block and the scrape's `omq_requests_total`
-//!   agree per op, on one shard and on three, for batched retract runs
-//!   and broadcast registers alike;
+//!   agree per op, on one shard and on three, for batched retract runs,
+//!   broadcast registers and the `metrics` op itself alike;
 //! * the exposition is deterministic across byte-identical runs once
 //!   timing-valued lines (`_us` histograms/quantiles, uptime, tail-based
 //!   flight retention, process-global hom counters) are set aside;
@@ -68,7 +68,8 @@ fn latency_counts(executor: &dyn BatchExecutor) -> BTreeMap<String, u64> {
 }
 
 /// The `stats` latency block and the scrape count the same requests (the
-/// scrape, taken second, alone has seen the `stats` request itself).
+/// scrape, taken second, alone has seen the `stats` request itself), and
+/// a second scrape counts the first `metrics` request exactly once.
 /// Returns the per-op counts.
 fn assert_one_latency_record(executor: &dyn BatchExecutor) -> BTreeMap<String, u64> {
     let latency = latency_counts(executor);
@@ -81,6 +82,12 @@ fn assert_one_latency_record(executor: &dyn BatchExecutor) -> BTreeMap<String, u
         text.matches(" histogram\n").count(),
         1,
         "one per-op latency histogram family: {text}"
+    );
+    let again = requests_total(&exposition_of(executor));
+    assert_eq!(
+        again.get("serve.metrics"),
+        Some(&1),
+        "metrics recorded once"
     );
     scraped
 }

@@ -229,6 +229,36 @@ echo "$COAL_OUT" | jq -s -e '
     exit 1
 }
 
+echo "==> serve sharded stats smoke (--shards 3: stats and scrape agree, metrics counted once)"
+# With three shards, `stats` and `metrics` are answered by the front end
+# from one counter table folded over every shard. The verdict-cache hits
+# `stats` reports must equal the scrape's process total, and the second
+# exposition must count the first `metrics` request exactly once.
+SHARD_OUT=$(printf '%s\n' \
+  '{"id":1,"op":"register","name":"a","program":"P(X) -> R(X)\nq(X) :- R(X)","schema":["P"],"query":"q"}' \
+  '{"id":2,"op":"register","name":"b","program":"q(X) :- P(X)","schema":["P"],"query":"q"}' \
+  '{"id":3,"op":"contains","lhs":"a","rhs":"b"}' \
+  '{"id":4,"op":"contains","lhs":"a","rhs":"b"}' \
+  '{"id":5,"op":"assert","name":"a","facts":["P(c1)"]}' \
+  '{"id":6,"op":"stats"}' \
+  '{"id":7,"op":"metrics"}' \
+  '{"id":8,"op":"metrics"}' \
+  | ./target/release/omq-serve --shards 3)
+echo "$SHARD_OUT" | jq -s -e '
+    def series($name): .exposition | split("\n")
+        | map(select(startswith($name + " "))) | .[0] | split(" ") | .[1] | tonumber;
+    length == 8
+    and (.[2].ok and .[2].verdict == "contained" and .[3].verdict == "contained")
+    and (.[4].ok and .[4].asserted == "a")
+    and (.[5].ok and .[5].store.asserts == 1)
+    and (.[5].verdict_cache.hits == (.[7] | series("omq_cache_hits_total{cache=\"verdict\"}")))
+    and ((.[7] | series("omq_requests_total{op=\"serve.metrics\"}")) == 1)
+' >/dev/null || {
+    echo "serve sharded stats smoke failed; responses were:" >&2
+    echo "$SHARD_OUT" >&2
+    exit 1
+}
+
 echo "==> serve overload smoke (reactor sheds with the structured shape)"
 # A single-worker reactor with watermark 4: one connection pins the worker
 # down with eight slow cold contains, so a second connection's solver
