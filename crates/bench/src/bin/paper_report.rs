@@ -544,8 +544,8 @@ fn e12_chase_counters() -> Section {
             s.triggers_fired,
             s.satisfied_skips,
             s.dedup_hits,
-            s.candidates_scanned,
-            s.backtracks
+            s.hom.candidates_scanned,
+            s.hom.backtracks
         )
     };
     for chain in [8usize, 32] {

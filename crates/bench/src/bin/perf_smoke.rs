@@ -27,9 +27,10 @@
 //!   [`ChaseStats`].
 //! * `contains:*` (BENCH_chase.json) — the E1 self-containment check at
 //!   chain ∈ {8, 16, 32}; this path is rewriting-based, so the chase
-//!   counters are zero. The chain=32 row is the headline number tracked
-//!   against the pre-semi-naive baseline (≈4.5 ms on the reference
-//!   machine).
+//!   counters are zero, and `plans_reoptimized` is the kernel delta of one
+//!   run (as in the `hom:*` rows). The chain=32 row is the headline number
+//!   tracked against the pre-semi-naive baseline (≈4.5 ms on the
+//!   reference machine).
 //! * `rewrite:*` (BENCH_rewrite.json) — XRewrite on the E3 (non-recursive)
 //!   family at strata ∈ {3, 4}, the E2/E8 sticky family at n ∈ {2, 3}, and
 //!   the E1 linear family at chain=32 — `generated`, `candidates`, and
@@ -37,14 +38,18 @@
 //!   headline number tracked against the pre-parallel-rewrite baseline
 //!   (≈1.8 s on the reference machine).
 //! * `hom:*` (BENCH_chase.json) — homomorphism-kernel counters
-//!   (`candidates_scanned`, `plan_cache_hits`) measured as process-global
-//!   counter deltas around one chase, one rewriting, and one containment
-//!   run; single-run, since the counters are deterministic per run.
+//!   (`candidates_scanned`, `plan_cache_hits`) read from one [`HomStats`]
+//!   delta of [`global_hom_snapshot`] around one chase, one rewriting, and
+//!   one containment run; single-run, since the counters are deterministic
+//!   per run.
 //! * `guarded:*` (BENCH_guarded.json) — the reduction workloads from
 //!   `crates/reductions`: certain answers of the Prop. 15/18 witness family
 //!   on its full-witness database, and the Thm. 16 tiling-reduction
-//!   containment check (paper-report E7 "no" case). Counters are
-//!   process-global deltas like the `hom:*` rows.
+//!   containment check (paper-report E7 "no" case). Kernel columns are
+//!   global deltas like the `hom:*` rows; the `ctr_hom_<field>` columns are
+//!   the `hom.<field>` obs events of the chase and rewriting runs inside
+//!   the workload, so they exclude kernel work outside those runs (e.g. the
+//!   final query evaluation).
 //!
 //! Every family carries the adaptive-planner counters (`plans_reoptimized`
 //! deterministic, `sketch_build_us` timing noise).
@@ -57,7 +62,9 @@ use omq_bench::workloads::{
     guarded_seed_db, guarded_workload, linear_workload, nr_workload, random_db, sticky_workload,
     tiling_workload, witness_db, witness_workload,
 };
-use omq_chase::{certain_answers_via_chase, chase, global_hom_snapshot, ChaseConfig, ChaseStats};
+use omq_chase::{
+    certain_answers_via_chase, chase, global_hom_snapshot, ChaseConfig, ChaseStats, HomStats,
+};
 use omq_core::{contains, ContainmentConfig};
 use omq_guarded::{compile_encoding, EncodingConfig};
 use omq_obs::flight::{FlightRecorder, SpanTree};
@@ -69,7 +76,7 @@ struct Record {
     timing: Timing,
     triggers_fired: usize,
     atoms: usize,
-    plans_reoptimized: u64,
+    kernel: HomStats,
     phases: String,
 }
 
@@ -79,18 +86,15 @@ struct RewriteRecord {
     generated: usize,
     candidates: usize,
     disjuncts: usize,
-    plans_reoptimized: u64,
-    sketch_build_us: u64,
+    kernel: HomStats,
     phases: String,
 }
 
 struct HomRecord {
     workload: String,
     timing: Timing,
-    candidates_scanned: u64,
-    plan_cache_hits: u64,
-    plans_reoptimized: u64,
-    sketch_build_us: u64,
+    /// Kernel work of one run of the workload.
+    kernel: HomStats,
     phases: String,
 }
 
@@ -111,15 +115,20 @@ impl Timing {
     }
 }
 
-/// Runs `f` once and records the homomorphism-kernel work it caused as the
-/// delta of the process-global counters; then one more instrumented pass
-/// for the phase columns.
-fn hom_record(label: &str, f: impl Fn()) -> HomRecord {
+/// Runs `f` once, returning its result and the homomorphism-kernel work it
+/// caused: the delta of the process-global counters.
+fn kernel_delta<T>(f: impl FnOnce() -> T) -> (T, HomStats) {
     let before = global_hom_snapshot();
+    let out = f();
+    (out, global_hom_snapshot().since(&before))
+}
+
+/// Runs `f` once and records the homomorphism-kernel work it caused; then
+/// one more instrumented pass for the phase columns.
+fn hom_record(label: &str, f: impl Fn()) -> HomRecord {
     let t = Instant::now();
-    f();
+    let ((), kernel) = kernel_delta(&f);
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    let after = global_hom_snapshot();
     let ((), agg) = instrumented_pass(&[], &f);
     HomRecord {
         workload: label.to_owned(),
@@ -128,10 +137,7 @@ fn hom_record(label: &str, f: impl Fn()) -> HomRecord {
             wall_min_ms: wall_ms,
             wall_max_ms: wall_ms,
         },
-        candidates_scanned: after.candidates_scanned - before.candidates_scanned,
-        plan_cache_hits: after.plan_cache_hits - before.plan_cache_hits,
-        plans_reoptimized: after.plans_reoptimized - before.plans_reoptimized,
-        sketch_build_us: (after.sketch_build_ns - before.sketch_build_ns) / 1_000,
+        kernel,
         phases: phase_fields(&agg),
     }
 }
@@ -144,17 +150,12 @@ fn hom_record(label: &str, f: impl Fn()) -> HomRecord {
 /// drift there is a semantics change.
 fn guarded_record(label: &str, f: impl Fn()) -> HomRecord {
     let ((), timing) = best_of(3, &f);
-    let before = global_hom_snapshot();
-    f();
-    let after = global_hom_snapshot();
+    let ((), kernel) = kernel_delta(&f);
     let ((), agg) = instrumented_pass(&[], &f);
     HomRecord {
         workload: label.to_owned(),
         timing,
-        candidates_scanned: after.candidates_scanned - before.candidates_scanned,
-        plan_cache_hits: after.plan_cache_hits - before.plan_cache_hits,
-        plans_reoptimized: after.plans_reoptimized - before.plans_reoptimized,
-        sketch_build_us: (after.sketch_build_ns - before.sketch_build_ns) / 1_000,
+        kernel,
         phases: format!("{}{}", phase_fields(&agg), counter_fields(&agg)),
     }
 }
@@ -206,7 +207,7 @@ fn chase_record(label: String, mk: impl Fn() -> (usize, ChaseStats)) -> Record {
         timing,
         triggers_fired: stats.triggers_fired,
         atoms,
-        plans_reoptimized: stats.plans_reoptimized,
+        kernel: stats.hom,
         phases: phase_fields(&agg),
     }
 }
@@ -255,15 +256,14 @@ fn main() {
             assert!(out.result.is_contained(), "E1 self-containment must hold");
             out.witnesses_checked
         };
-        let (checked, timing) = best_of(3, run);
-        let _ = checked;
-        let (_, agg) = instrumented_pass(&[], run);
+        let (_, timing) = best_of(3, run);
+        let ((_, agg), kernel) = kernel_delta(|| instrumented_pass(&[], run));
         records.push(Record {
             workload: format!("contains:E1 chain={chain} qlen=2"),
             timing,
             triggers_fired: 0,
             atoms: 0,
-            plans_reoptimized: 0,
+            kernel,
             phases: phase_fields(&agg),
         });
     }
@@ -278,8 +278,7 @@ fn main() {
             generated: out.generated,
             candidates: out.stats.candidates,
             disjuncts: out.ucq.disjuncts.len(),
-            plans_reoptimized: out.stats.plans_reoptimized,
-            sketch_build_us: out.stats.sketch_build_ns / 1_000,
+            kernel: out.stats.hom,
             phases: phase_fields(&agg),
         });
     };
@@ -382,18 +381,18 @@ fn main() {
             "{:<32} {:>9.3} ms  scanned={:<9} cache_hits={} reopt={}",
             r.workload,
             r.timing.wall_ms,
-            r.candidates_scanned,
-            r.plan_cache_hits,
-            r.plans_reoptimized
+            r.kernel.candidates_scanned,
+            r.kernel.plan_cache_hits,
+            r.kernel.plans_reoptimized
         );
         format!(
             "  {{\"workload\": \"{}\", {}, \"candidates_scanned\": {}, \"plan_cache_hits\": {}, \"plans_reoptimized\": {}, \"sketch_build_us\": {}{}}}",
             r.workload,
             r.timing.fields(),
-            r.candidates_scanned,
-            r.plan_cache_hits,
-            r.plans_reoptimized,
-            r.sketch_build_us,
+            r.kernel.candidates_scanned,
+            r.kernel.plan_cache_hits,
+            r.kernel.plans_reoptimized,
+            r.kernel.sketch_build_ns / 1_000,
             r.phases
         )
     };
@@ -411,7 +410,7 @@ fn main() {
                 r.timing.fields(),
                 r.triggers_fired,
                 r.atoms,
-                r.plans_reoptimized,
+                r.kernel.plans_reoptimized,
                 r.phases
             )
         })
@@ -430,8 +429,8 @@ fn main() {
             r.generated,
             r.candidates,
             r.disjuncts,
-            r.plans_reoptimized,
-            r.sketch_build_us,
+            r.kernel.plans_reoptimized,
+            r.kernel.sketch_build_ns / 1_000,
             r.phases,
             if i + 1 < rewrites.len() { "," } else { "" }
         ));

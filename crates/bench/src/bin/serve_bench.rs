@@ -348,11 +348,11 @@ fn main() {
     // Adaptive-planner work across the whole sweep (process-global deltas;
     // deterministic per run — replan decisions depend only on instance
     // content and per-request call order).
-    let hom_after = omq_chase::global_hom_snapshot();
+    let hom = omq_chase::global_hom_snapshot().since(&hom_before);
     json.push_str(&format!(
         "  {{\"workload\": \"serve:summary\", \"wall_ms\": 0.0, \"speedup_warm_over_cold\": {speedup:.2}, \"plans_reoptimized\": {}, \"sketch_build_us\": {}{}}}\n]\n",
-        hom_after.plans_reoptimized - hom_before.plans_reoptimized,
-        (hom_after.sketch_build_ns - hom_before.sketch_build_ns) / 1_000,
+        hom.plans_reoptimized,
+        hom.sketch_build_ns / 1_000,
         phase_fields(&sweep)
     ));
     println!("serve:summary                speedup_warm_over_cold={speedup:.2}");

@@ -131,44 +131,12 @@ pub struct ChaseStats {
     pub dedup_hits: usize,
     /// Restricted-variant triggers skipped because the head was satisfied.
     pub satisfied_skips: usize,
-    /// Candidate instance atoms inspected during homomorphism search.
-    pub candidates_scanned: u64,
-    /// Rolled-back candidate bindings during homomorphism search.
-    pub backtracks: u64,
-    /// Join plans compiled (per-tgd body, pivot, and head plans).
-    pub plans_compiled: u64,
-    /// Plan-cache hits for body/pivot plans across semi-naive rounds.
-    pub plan_cache_hits: u64,
-    /// Homomorphism checks rejected by the predicate-signature prefilter.
-    pub prefilter_rejects: u64,
-    /// Cached plans recompiled after observed probe work diverged from the
-    /// cost model's prediction (see [`crate::hom::REOPT_FACTOR`]).
-    pub plans_reoptimized: u64,
-    /// Costed-plan executions whose observed candidates were ≤ prediction.
-    pub est_ratio_le_1: u64,
-    /// Costed-plan executions within `REOPT_FACTOR`× of prediction.
-    pub est_ratio_le_4: u64,
-    /// Costed-plan executions beyond `REOPT_FACTOR`× of prediction.
-    pub est_ratio_gt_4: u64,
-    /// Nanoseconds spent building cardinality sketches for plan costing.
-    pub sketch_build_ns: u64,
+    /// Homomorphism-kernel work: trigger enumeration, head-satisfaction
+    /// checks and plan compilation.
+    pub hom: HomStats,
 }
 
 impl ChaseStats {
-    /// Accumulates homomorphism-search counters.
-    fn absorb_hom(&mut self, h: HomStats) {
-        self.candidates_scanned += h.candidates_scanned;
-        self.backtracks += h.backtracks;
-        self.plans_compiled += h.plans_compiled;
-        self.plan_cache_hits += h.plan_cache_hits;
-        self.prefilter_rejects += h.prefilter_rejects;
-        self.plans_reoptimized += h.plans_reoptimized;
-        self.est_ratio_le_1 += h.est_ratio_le_1;
-        self.est_ratio_le_4 += h.est_ratio_le_4;
-        self.est_ratio_gt_4 += h.est_ratio_gt_4;
-        self.sketch_build_ns += h.sketch_build_ns;
-    }
-
     /// Mirrors the counters into the installed omq-obs recorder, once per
     /// run (a no-op without a recorder).
     pub fn emit_obs(&self) {
@@ -181,16 +149,8 @@ impl ChaseStats {
             ("chase.triggers_fired", self.triggers_fired as u64),
             ("chase.dedup_hits", self.dedup_hits as u64),
             ("chase.satisfied_skips", self.satisfied_skips as u64),
-            ("hom.candidates_scanned", self.candidates_scanned),
-            ("hom.backtracks", self.backtracks),
-            ("hom.plans_compiled", self.plans_compiled),
-            ("hom.plan_cache_hits", self.plan_cache_hits),
-            ("hom.prefilter_rejects", self.prefilter_rejects),
-            ("hom.plans_reoptimized", self.plans_reoptimized),
-            ("hom.est_ratio_le_1", self.est_ratio_le_1),
-            ("hom.est_ratio_le_4", self.est_ratio_le_4),
-            ("hom.est_ratio_gt_4", self.est_ratio_gt_4),
         ]);
+        self.hom.emit_obs();
     }
 }
 
@@ -271,10 +231,8 @@ impl TgdPlan {
                     .expect("frontier vars occur in the body")
             })
             .collect();
-        let head_plan = (variant == ChaseVariant::Restricted).then(|| {
-            hstats.plans_compiled += 1;
-            Arc::new(JoinPlan::compile(&t.head, &frontier, None))
-        });
+        let head_plan = (variant == ChaseVariant::Restricted)
+            .then(|| Arc::new(JoinPlan::compile(&t.head, &frontier, None, hstats)));
         let existentials = t.existential_vars();
         let head_atoms = t
             .head
@@ -347,12 +305,10 @@ impl<'a> Runner<'a> {
     ) -> Self {
         let mut stats = ChaseStats::default();
         let mut plans = PlanCache::new();
-        let mut hstats = HomStats::default();
         let tgd_plans = sigma
             .iter()
-            .map(|t| TgdPlan::new(t, cfg.variant, &mut plans, &instance, &mut hstats))
+            .map(|t| TgdPlan::new(t, cfg.variant, &mut plans, &instance, &mut stats.hom))
             .collect();
-        stats.absorb_hom(hstats);
         Runner {
             sigma,
             voc,
@@ -395,13 +351,11 @@ impl<'a> Runner<'a> {
                 let tp = &self.tgd_plans[ti];
                 let plan = tp.head_plan.as_ref().expect("restricted head plan");
                 let seed: Vec<Term> = tp.frontier_slots.iter().map(|&s| key[s]).collect();
-                let mut hstats = HomStats::default();
                 let satisfied = plan
-                    .execute(&self.instance, &seed, None, &mut hstats, |_| {
+                    .execute(&self.instance, &seed, None, &mut self.stats.hom, |_| {
                         ControlFlow::Break(())
                     })
                     .is_break();
-                self.stats.absorb_hom(hstats);
                 if satisfied {
                     self.stats.satisfied_skips += 1;
                     return false;
@@ -547,7 +501,7 @@ impl<'a> Runner<'a> {
                 // complete homomorphism binds every slot, so the dense
                 // binding vector unwraps directly into the trigger key.
                 triggers.clear();
-                let mut hstats = HomStats::default();
+                let hstats = &mut self.stats.hom;
                 let push = |triggers: &mut Vec<Vec<Term>>, h: &crate::hom::HomView| {
                     triggers.push(h.codes().iter().map(|&c| Term::from_code(c)).collect());
                 };
@@ -557,18 +511,15 @@ impl<'a> Runner<'a> {
                         &[],
                         None,
                         &self.instance,
-                        &mut hstats,
+                        hstats,
                     );
                     let before = hstats.candidates_scanned;
-                    let _ = plan.execute(&self.instance, &[], None, &mut hstats, |h| {
+                    let _ = plan.execute(&self.instance, &[], None, hstats, |h| {
                         push(&mut triggers, h);
                         ControlFlow::<()>::Continue(())
                     });
-                    self.plans.note_execution(
-                        &plan,
-                        hstats.candidates_scanned - before,
-                        &mut hstats,
-                    );
+                    self.plans
+                        .note_execution(&plan, hstats.candidates_scanned - before, hstats);
                 } else if delta_start < self.instance.len() {
                     // One pivoted plan per body atom that can touch the
                     // delta: the pivot atom is confined to new instance
@@ -586,7 +537,7 @@ impl<'a> Runner<'a> {
                             &[],
                             Some(p),
                             &self.instance,
-                            &mut hstats,
+                            hstats,
                         );
                         let ranges: Vec<(usize, usize)> = (0..tgd.body.len())
                             .map(|i| match i.cmp(&p) {
@@ -596,19 +547,17 @@ impl<'a> Runner<'a> {
                             })
                             .collect();
                         let before = hstats.candidates_scanned;
-                        let _ =
-                            plan.execute(&self.instance, &[], Some(&ranges), &mut hstats, |h| {
-                                push(&mut triggers, h);
-                                ControlFlow::<()>::Continue(())
-                            });
+                        let _ = plan.execute(&self.instance, &[], Some(&ranges), hstats, |h| {
+                            push(&mut triggers, h);
+                            ControlFlow::<()>::Continue(())
+                        });
                         self.plans.note_execution(
                             &plan,
                             hstats.candidates_scanned - before,
-                            &mut hstats,
+                            hstats,
                         );
                     }
                 }
-                self.stats.absorb_hom(hstats);
                 self.stats.triggers_considered += triggers.len();
                 for key in triggers.drain(..) {
                     if self.steps >= self.cfg.max_steps || self.cfg.budget.expired() {
@@ -874,7 +823,7 @@ mod tests {
         assert_eq!(out.stats.triggers_fired, out.steps);
         assert!(out.stats.rounds >= 3, "chain of 3 needs several rounds");
         assert!(out.stats.triggers_considered >= out.stats.triggers_fired);
-        assert!(out.stats.candidates_scanned > 0);
+        assert!(out.stats.hom.candidates_scanned > 0);
         // The restricted variant records its skips, not dedup hits.
         assert_eq!(out.stats.dedup_hits, 0);
     }

@@ -9,9 +9,7 @@ use std::sync::Arc;
 
 use omq_model::{Atom, Cq, Instance, NullId, Term, Ucq, VarId};
 
-use crate::hom::{
-    pred_sig, record_plan_reuse, record_prefilter_reject, sig_may_hom, HomStats, JoinPlan,
-};
+use crate::hom::{pred_sig, prefilter, HomStats, JoinPlan};
 
 /// Freezes the body of `q` into an instance, mapping each variable `v` to
 /// the null `⊥v` (constants stay). Returns the instance and the head image.
@@ -39,13 +37,11 @@ pub fn cq_contained_stats(q1: &Cq, q2: &Cq, stats: &mut HomStats) -> bool {
     if q1.head.len() != q2.head.len() {
         return false;
     }
-    if !sig_may_hom(pred_sig(&q2.body), pred_sig(&q1.body)) {
-        record_prefilter_reject(stats);
+    if !prefilter(pred_sig(&q2.body), pred_sig(&q1.body), stats) {
         return false;
     }
     let (frozen, head1) = freeze_to_nulls(q1);
     let plan = crate::hom::compile_costed_for(&q2.body, &q2.head, None, &frozen, stats);
-    stats.plans_compiled += 1;
     let pairs: Vec<(VarId, Term)> = q2.head.iter().copied().zip(head1.iter().copied()).collect();
     let Some(seed) = plan.seed_values(&pairs) else {
         return false; // the head pattern repeats a variable inconsistently
@@ -839,7 +835,6 @@ fn pred_mask(q: &Cq) -> u64 {
 /// against *other* disjuncts' frozen bodies; its own frozen body is a good
 /// cardinality proxy because sieve disjuncts are structurally close.
 fn compile_entry_plan(cq: &Cq, target: &Instance, stats: &mut HomStats) -> Arc<JoinPlan> {
-    stats.plans_compiled += 1;
     Arc::new(crate::hom::compile_costed_for(
         &cq.body, &cq.head, None, target, stats,
     ))
@@ -898,14 +893,12 @@ impl SubsumptionSieve {
         let reuse = self.reuse_plans;
         let mut rejected = false;
         for k in &self.kept {
-            if k.mask & !mask != 0 {
+            if !prefilter(k.mask, mask, &mut self.stats) {
                 // Some predicate of `k` is absent from `cq`: no hom exists.
-                record_prefilter_reject(&mut self.stats);
                 continue;
             }
             let plan = if reuse {
-                record_plan_reuse(&mut self.stats);
-                Arc::clone(&k.plan)
+                JoinPlan::reuse(&k.plan, &mut self.stats)
             } else {
                 compile_entry_plan(&k.cq, &frozen, &mut self.stats)
             };
@@ -922,13 +915,11 @@ impl SubsumptionSieve {
         let before = self.kept.len();
         let stats = &mut self.stats;
         self.kept.retain(|k| {
-            if mask & !k.mask != 0 {
-                record_prefilter_reject(stats);
+            if !prefilter(mask, k.mask, stats) {
                 return true;
             }
             let p = if reuse {
-                record_plan_reuse(stats);
-                Arc::clone(&plan)
+                JoinPlan::reuse(&plan, stats)
             } else {
                 compile_entry_plan(&cq, &k.frozen, stats)
             };

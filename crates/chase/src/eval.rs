@@ -11,9 +11,7 @@ use std::sync::Arc;
 
 use omq_model::{ConstId, Cq, Instance, Term, Ucq, VarId};
 
-use crate::hom::{
-    instance_sig, record_prefilter_reject, sig_may_hom, HomStats, HomView, JoinPlan, PlanCache,
-};
+use crate::hom::{instance_sig, prefilter, HomStats, HomView, JoinPlan, PlanCache};
 
 /// Evaluates a CQ: all constant answer tuples `h(x̄)`.
 pub fn eval_cq(q: &Cq, inst: &Instance) -> HashSet<Vec<ConstId>> {
@@ -100,8 +98,9 @@ impl CompiledCq {
     /// Compiles `q` (uncached; use [`CompiledCq::from_cache`] when many
     /// queries share bodies).
     pub fn new(q: &Cq) -> CompiledCq {
+        let plan = JoinPlan::compile(&q.body, &q.head, None, &mut HomStats::default());
         CompiledCq {
-            plan: Arc::new(JoinPlan::compile(&q.body, &q.head, None)),
+            plan: Arc::new(plan),
             head: q.head.clone(),
         }
     }
@@ -131,8 +130,7 @@ impl CompiledCq {
         if tuple.len() != self.head.len() {
             return false;
         }
-        if !sig_may_hom(self.plan.sig(), inst_sig) {
-            record_prefilter_reject(stats);
+        if !prefilter(self.plan.sig(), inst_sig, stats) {
             return false;
         }
         let pairs: Vec<(VarId, Term)> = self

@@ -40,102 +40,132 @@ use omq_model::{Atom, CardSketch, Instance, PredId, Term, VarId};
 /// are always mapped to themselves (homomorphisms are the identity on `C`).
 pub type Assignment = HashMap<VarId, Term>;
 
-/// Work counters for one or more homomorphism searches.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HomStats {
+/// Declares [`HomStats`] from one field list, so that the struct, its
+/// process-global mirror and every rendering of it (the obs `hom.<field>`
+/// events, the serve `stats` block and scrape, the BENCH columns) share one
+/// name per counter. The event counts come first; the one timing field
+/// follows the `;` and stays out of the count surfaces.
+macro_rules! hom_stats {
+    ($($(#[$doc:meta])* $count:ident,)* ; $(#[$tdoc:meta])* $timing:ident) => {
+        /// Work counters for one or more homomorphism searches: the one
+        /// record of kernel work. Each event is counted once, by a single
+        /// statement in this module that feeds both the caller's
+        /// `HomStats` and the process-global mirror behind
+        /// [`global_hom_snapshot`].
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct HomStats {
+            $($(#[$doc])* pub $count: u64,)*
+            $(#[$tdoc])* pub $timing: u64,
+        }
+
+        const HOM_COUNTS: usize = [$(stringify!($count)),*].len();
+        const HOM_FIELDS: usize = HOM_COUNTS + 1;
+
+        impl HomStats {
+            /// Every event count as `(name, value)`: all fields but the
+            /// timing.
+            pub fn counts(&self) -> [(&'static str, u64); HOM_COUNTS] {
+                [$((stringify!($count), self.$count)),*]
+            }
+
+            /// Mirrors the event counts into the installed omq-obs recorder
+            /// as `hom.<field>` counters (a no-op without a recorder).
+            pub fn emit_obs(&self) {
+                omq_obs::counters(&[$((concat!("hom.", stringify!($count)), self.$count)),*]);
+            }
+
+            fn values(&self) -> [u64; HOM_FIELDS] {
+                [$(self.$count,)* self.$timing]
+            }
+
+            fn from_values(values: [u64; HOM_FIELDS]) -> HomStats {
+                let [$($count,)* $timing] = values;
+                HomStats { $($count,)* $timing }
+            }
+        }
+    };
+}
+
+hom_stats! {
     /// Candidate instance atoms inspected while extending partial matches.
-    pub candidates_scanned: u64,
+    candidates_scanned,
     /// Candidate atoms rejected (bindings rolled back).
-    pub backtracks: u64,
+    backtracks,
     /// Complete homomorphisms handed to the callback.
-    pub homs_found: u64,
-    /// Join plans compiled (cache misses plus uncached compilations).
-    pub plans_compiled: u64,
-    /// Join plans served from a [`PlanCache`] without recompiling.
-    pub plan_cache_hits: u64,
-    /// CQ→CQ checks rejected by the predicate-signature prefilter before
-    /// any plan executed.
-    pub prefilter_rejects: u64,
+    homs_found,
+    /// Join plans compiled, re-optimizations included.
+    plans_compiled,
+    /// Compiled plans handed out again without recompiling (a
+    /// [`PlanCache`] hit or an inline [`JoinPlan::reuse`]).
+    plan_cache_hits,
+    /// Homomorphism checks rejected by the predicate-signature prefilter
+    /// before any plan executed.
+    prefilter_rejects,
     /// Cached cost-based plans recompiled because their observed probe work
     /// diverged from the predicted cost (see [`PlanCache`]).
-    pub plans_reoptimized: u64,
+    plans_reoptimized,
     /// Costed-plan executions whose scanned candidates were at or under the
     /// predicted cost (estimate held).
-    pub est_ratio_le_1: u64,
+    est_ratio_le_1,
     /// Costed-plan executions whose scanned candidates exceeded the
     /// prediction by up to the re-optimization factor.
-    pub est_ratio_le_4: u64,
+    est_ratio_le_4,
     /// Costed-plan executions whose scanned candidates exceeded the
     /// prediction by more than the re-optimization factor.
-    pub est_ratio_gt_4: u64,
+    est_ratio_gt_4,
+    ;
     /// Nanoseconds spent building cardinality sketches for cost-based
-    /// planning (timing-derived: deterministic across runs only in the
-    /// sense of "some positive number"; never compare exact values).
-    pub sketch_build_ns: u64,
+    /// planning. A timing, not a count: never compare exact values.
+    sketch_build_ns
 }
 
 impl HomStats {
-    /// Accumulates `other` into `self`.
-    pub fn absorb(&mut self, other: HomStats) {
-        self.candidates_scanned += other.candidates_scanned;
-        self.backtracks += other.backtracks;
-        self.homs_found += other.homs_found;
-        self.plans_compiled += other.plans_compiled;
-        self.plan_cache_hits += other.plan_cache_hits;
-        self.prefilter_rejects += other.prefilter_rejects;
-        self.plans_reoptimized += other.plans_reoptimized;
-        self.est_ratio_le_1 += other.est_ratio_le_1;
-        self.est_ratio_le_4 += other.est_ratio_le_4;
-        self.est_ratio_gt_4 += other.est_ratio_gt_4;
-        self.sketch_build_ns += other.sketch_build_ns;
+    /// The work done between `earlier` and `self`, field by field (for
+    /// deltas of the monotone [`global_hom_snapshot`]).
+    pub fn since(&self, earlier: &HomStats) -> HomStats {
+        self.zip_with(earlier, |a, b| a - b)
+    }
+
+    fn zip_with(&self, other: &HomStats, f: impl Fn(u64, u64) -> u64) -> HomStats {
+        let (a, b) = (self.values(), other.values());
+        HomStats::from_values(std::array::from_fn(|i| f(a[i], b[i])))
     }
 }
 
-// Process-global kernel counters, mirrored from every top-level plan
-// execution / cache interaction (relaxed: they are monotone telemetry for
-// the serve `stats` response, never synchronisation).
-static G_CANDIDATES_SCANNED: AtomicU64 = AtomicU64::new(0);
-static G_BACKTRACKS: AtomicU64 = AtomicU64::new(0);
-static G_HOMS_FOUND: AtomicU64 = AtomicU64::new(0);
-static G_PLANS_COMPILED: AtomicU64 = AtomicU64::new(0);
-static G_PLAN_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static G_PREFILTER_REJECTS: AtomicU64 = AtomicU64::new(0);
-static G_PLANS_REOPTIMIZED: AtomicU64 = AtomicU64::new(0);
-static G_EST_RATIO_LE_1: AtomicU64 = AtomicU64::new(0);
-static G_EST_RATIO_LE_4: AtomicU64 = AtomicU64::new(0);
-static G_EST_RATIO_GT_4: AtomicU64 = AtomicU64::new(0);
-static G_SKETCH_BUILD_NS: AtomicU64 = AtomicU64::new(0);
+/// The process-global mirror: one slot per [`HomStats`] field, summed over
+/// every [`record`] since process start on every thread (relaxed: monotone
+/// telemetry, never synchronisation).
+static GLOBAL: [AtomicU64; HOM_FIELDS] = [const { AtomicU64::new(0) }; HOM_FIELDS];
+
+/// Counts kernel work into the caller's `stats` and into the process-global
+/// mirror: `event` fills in an empty delta (one event, or one search's
+/// worth from [`JoinPlan::execute`]). Every kernel event goes through here
+/// exactly once; zero fields cost no atomic operation.
+fn record(stats: &mut HomStats, event: impl FnOnce(&mut HomStats)) {
+    let mut delta = HomStats::default();
+    event(&mut delta);
+    *stats = stats.zip_with(&delta, |a, b| a + b);
+    for (slot, v) in GLOBAL.iter().zip(delta.values()) {
+        if v != 0 {
+            slot.fetch_add(v, Ordering::Relaxed);
+        }
+    }
+}
 
 /// A snapshot of the process-wide kernel counters (all searches since
 /// process start, across every thread). Monotone between calls.
 pub fn global_hom_snapshot() -> HomStats {
-    HomStats {
-        candidates_scanned: G_CANDIDATES_SCANNED.load(Ordering::Relaxed),
-        backtracks: G_BACKTRACKS.load(Ordering::Relaxed),
-        homs_found: G_HOMS_FOUND.load(Ordering::Relaxed),
-        plans_compiled: G_PLANS_COMPILED.load(Ordering::Relaxed),
-        plan_cache_hits: G_PLAN_CACHE_HITS.load(Ordering::Relaxed),
-        prefilter_rejects: G_PREFILTER_REJECTS.load(Ordering::Relaxed),
-        plans_reoptimized: G_PLANS_REOPTIMIZED.load(Ordering::Relaxed),
-        est_ratio_le_1: G_EST_RATIO_LE_1.load(Ordering::Relaxed),
-        est_ratio_le_4: G_EST_RATIO_LE_4.load(Ordering::Relaxed),
-        est_ratio_gt_4: G_EST_RATIO_GT_4.load(Ordering::Relaxed),
-        sketch_build_ns: G_SKETCH_BUILD_NS.load(Ordering::Relaxed),
+    HomStats::from_values(std::array::from_fn(|i| GLOBAL[i].load(Ordering::Relaxed)))
+}
+
+/// The signature prefilter as a counted event: [`sig_may_hom`]`(src, dst)`,
+/// with every rejection counted as `prefilter_rejects`.
+pub(crate) fn prefilter(src: u64, dst: u64, stats: &mut HomStats) -> bool {
+    let admitted = sig_may_hom(src, dst);
+    if !admitted {
+        record(stats, |d| d.prefilter_rejects = 1);
     }
-}
-
-/// Records one signature-prefilter rejection (local and global counters).
-pub fn record_prefilter_reject(stats: &mut HomStats) {
-    stats.prefilter_rejects += 1;
-    G_PREFILTER_REJECTS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one plan reuse that bypassed compilation — for callers that
-/// store compiled plans inline (e.g. per sieve entry) instead of going
-/// through a [`PlanCache`], which counts its own hits.
-pub fn record_plan_reuse(stats: &mut HomStats) {
-    stats.plan_cache_hits += 1;
-    G_PLAN_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+    admitted
 }
 
 /// Sentinel for "no upper bound" in an atom's candidate index range.
@@ -437,14 +467,19 @@ impl JoinPlan {
     /// `seeded` (sorted and deduplicated internally). `pivot` pins that atom
     /// to the front of the join order (the semi-naive delta pivot). Uses the
     /// statically pinned greedy [`join_order`]; see [`JoinPlan::compile_costed`]
-    /// for the statistics-driven variant.
-    pub fn compile(atoms: &[Atom], seeded: &[VarId], pivot: Option<usize>) -> JoinPlan {
+    /// for the statistics-driven variant. Counted as `plans_compiled`.
+    pub fn compile(
+        atoms: &[Atom],
+        seeded: &[VarId],
+        pivot: Option<usize>,
+        stats: &mut HomStats,
+    ) -> JoinPlan {
         let _span = omq_obs::span("hom.compile");
         let mut seeded: Vec<VarId> = seeded.to_vec();
         seeded.sort_unstable();
         seeded.dedup();
         let order = join_order(atoms, &seeded, pivot);
-        Self::finish(atoms, seeded, pivot, order, u64::MAX)
+        Self::finish(atoms, seeded, pivot, order, u64::MAX, stats)
     }
 
     /// Compiles a cost-based plan: the atom order comes from [`cost_order`]
@@ -452,19 +487,21 @@ impl JoinPlan {
     /// distinct-value counts) and the resulting predicted candidate count is
     /// stored on the plan, enabling the [`PlanCache`] divergence check.
     /// Deterministic for a given `(atoms, seeded, pivot, sketch)` — and the
-    /// sketch itself is a function of instance content only.
+    /// sketch itself is a function of instance content only. Counted as
+    /// `plans_compiled`.
     pub fn compile_costed(
         atoms: &[Atom],
         seeded: &[VarId],
         pivot: Option<usize>,
         sketch: &CardSketch,
+        stats: &mut HomStats,
     ) -> JoinPlan {
         let _span = omq_obs::span("hom.plan.cost");
         let mut seeded: Vec<VarId> = seeded.to_vec();
         seeded.sort_unstable();
         seeded.dedup();
         let (order, predicted) = cost_order(atoms, &seeded, pivot, sketch);
-        Self::finish(atoms, seeded, pivot, order, predicted)
+        Self::finish(atoms, seeded, pivot, order, predicted, stats)
     }
 
     fn finish(
@@ -473,6 +510,7 @@ impl JoinPlan {
         pivot: Option<usize>,
         order: Vec<usize>,
         predicted_cost: u64,
+        stats: &mut HomStats,
     ) -> JoinPlan {
         let slots = slot_layout(atoms, &seeded);
         let slot_of = |v: VarId| slots.iter().position(|&w| w == v).unwrap();
@@ -513,7 +551,7 @@ impl JoinPlan {
             });
         }
         let sig = pred_sig(atoms);
-        G_PLANS_COMPILED.fetch_add(1, Ordering::Relaxed);
+        record(stats, |d| d.plans_compiled = 1);
         JoinPlan {
             atoms: atoms.to_vec(),
             seeded,
@@ -524,6 +562,14 @@ impl JoinPlan {
             sig,
             predicted_cost,
         }
+    }
+
+    /// Hands out a compiled plan again instead of recompiling it, counted
+    /// as a `plan_cache_hits` event — for [`PlanCache`] hits and for callers
+    /// that store compiled plans inline (e.g. per sieve entry).
+    pub fn reuse(plan: &Arc<JoinPlan>, stats: &mut HomStats) -> Arc<JoinPlan> {
+        record(stats, |d| d.plan_cache_hits = 1);
+        Arc::clone(plan)
     }
 
     /// The predicted candidate scans per execution, for cost-based plans.
@@ -602,7 +648,8 @@ impl JoinPlan {
     /// semi-naive delta discipline.
     ///
     /// Work counters accumulate into `stats` (and the process-global
-    /// counters behind [`global_hom_snapshot`]).
+    /// mirror behind [`global_hom_snapshot`]): the search itself runs on
+    /// plain locals, folded in once at the end.
     pub fn execute<B>(
         &self,
         inst: &Instance,
@@ -618,10 +665,7 @@ impl JoinPlan {
         }
         let mut local = HomStats::default();
         let res = self.step(0, inst, ranges, &mut bindings, &mut local, &mut f);
-        stats.absorb(local);
-        G_CANDIDATES_SCANNED.fetch_add(local.candidates_scanned, Ordering::Relaxed);
-        G_BACKTRACKS.fetch_add(local.backtracks, Ordering::Relaxed);
-        G_HOMS_FOUND.fetch_add(local.homs_found, Ordering::Relaxed);
+        record(stats, |d| *d = local);
         res
     }
 
@@ -888,8 +932,7 @@ impl CachedPlan {
 
 /// A cache of compiled [`JoinPlan`]s keyed by `(atoms, seeded, pivot)`.
 /// Single-owner (`&mut` API); share plans across threads via the returned
-/// `Arc`s. Hits and misses are counted into the caller's [`HomStats`] and
-/// the process-global counters.
+/// `Arc`s. Hits and misses are counted into the caller's [`HomStats`].
 ///
 /// Plans fetched through [`PlanCache::get_or_compile_costed`] are
 /// *adaptive*: callers report each execution's candidate scans back via
@@ -966,26 +1009,23 @@ impl PlanCache {
                 if entry.diverged() {
                     let sketch = timed_sketch(inst, stats);
                     *entry = CachedPlan::fresh(Arc::new(JoinPlan::compile_costed(
-                        atoms, &norm, pivot, &sketch,
+                        atoms, &norm, pivot, &sketch, stats,
                     )));
-                    stats.plans_reoptimized += 1;
-                    G_PLANS_REOPTIMIZED.fetch_add(1, Ordering::Relaxed);
-                    omq_obs::counter("hom.plan.reopt", 1);
+                    record(stats, |d| d.plans_reoptimized = 1);
                     return Arc::clone(&entry.plan);
                 }
             }
-            stats.plan_cache_hits += 1;
-            G_PLAN_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(&entry.plan);
+            return JoinPlan::reuse(&entry.plan, stats);
         }
         let plan = match inst {
             Some(inst) => {
                 let sketch = timed_sketch(inst, stats);
-                Arc::new(JoinPlan::compile_costed(atoms, &norm, pivot, &sketch))
+                Arc::new(JoinPlan::compile_costed(
+                    atoms, &norm, pivot, &sketch, stats,
+                ))
             }
-            None => Arc::new(JoinPlan::compile(atoms, &norm, pivot)),
+            None => Arc::new(JoinPlan::compile(atoms, &norm, pivot, stats)),
         };
-        stats.plans_compiled += 1;
         bucket.push(CachedPlan::fresh(Arc::clone(&plan)));
         plan
     }
@@ -1008,14 +1048,12 @@ impl PlanCache {
     }
 }
 
-/// Builds `inst`'s cardinality sketch, charging the build time to the
-/// sketch counters (local and global).
+/// Builds `inst`'s cardinality sketch, charging the build time to
+/// `sketch_build_ns`.
 fn timed_sketch(inst: &Instance, stats: &mut HomStats) -> CardSketch {
     let t = Instant::now();
     let sketch = inst.card_sketch();
-    let ns = t.elapsed().as_nanos() as u64;
-    stats.sketch_build_ns += ns;
-    G_SKETCH_BUILD_NS.fetch_add(ns, Ordering::Relaxed);
+    record(stats, |d| d.sketch_build_ns = t.elapsed().as_nanos() as u64);
     sketch
 }
 
@@ -1027,16 +1065,15 @@ pub(crate) fn record_estimate_quality(plan: &JoinPlan, candidates: u64, stats: &
         return;
     };
     let predicted = predicted.max(1);
-    if candidates <= predicted {
-        stats.est_ratio_le_1 += 1;
-        G_EST_RATIO_LE_1.fetch_add(1, Ordering::Relaxed);
-    } else if candidates <= REOPT_FACTOR.saturating_mul(predicted) {
-        stats.est_ratio_le_4 += 1;
-        G_EST_RATIO_LE_4.fetch_add(1, Ordering::Relaxed);
-    } else {
-        stats.est_ratio_gt_4 += 1;
-        G_EST_RATIO_GT_4.fetch_add(1, Ordering::Relaxed);
-    }
+    record(stats, |d| {
+        if candidates <= predicted {
+            d.est_ratio_le_1 = 1;
+        } else if candidates <= REOPT_FACTOR.saturating_mul(predicted) {
+            d.est_ratio_le_4 = 1;
+        } else {
+            d.est_ratio_gt_4 = 1;
+        }
+    });
 }
 
 /// Builds the instance's cardinality sketch (timed into the sketch
@@ -1051,7 +1088,7 @@ pub fn compile_costed_for(
     stats: &mut HomStats,
 ) -> JoinPlan {
     let sketch = timed_sketch(inst, stats);
-    JoinPlan::compile_costed(atoms, seeded, pivot, &sketch)
+    JoinPlan::compile_costed(atoms, seeded, pivot, &sketch, stats)
 }
 
 /// Splits a legacy [`Assignment`] seed into the sorted var list and the
@@ -1103,7 +1140,7 @@ pub fn for_each_hom_with_delta<B>(
 ) -> ControlFlow<B> {
     let (vars, vals) = split_seed(seed);
     if delta_start == 0 {
-        let plan = JoinPlan::compile(atoms, &vars, None);
+        let plan = JoinPlan::compile(atoms, &vars, None, stats);
         return plan.execute(inst, &vals, None, stats, |h| f(&h.to_assignment()));
     }
     if delta_start >= inst.len() {
@@ -1124,7 +1161,7 @@ pub fn for_each_hom_with_delta<B>(
                 std::cmp::Ordering::Greater => (0, NO_LIMIT),
             };
         }
-        let plan = JoinPlan::compile(atoms, &vars, Some(pivot));
+        let plan = JoinPlan::compile(atoms, &vars, Some(pivot), stats);
         plan.execute(inst, &vals, Some(&ranges), stats, |h| f(&h.to_assignment()))?;
     }
     ControlFlow::Continue(())
@@ -1556,11 +1593,11 @@ mod tests {
     fn join_order_is_pinned_for_chain() {
         let mut voc = Vocabulary::new();
         let (_, q) = parse_query(&mut voc, "q(X,W) :- E(X,Y), E(Y,Z), E(Z,W)").unwrap();
-        let plan = JoinPlan::compile(&q.body, &[], None);
+        let plan = JoinPlan::compile(&q.body, &[], None, &mut HomStats::default());
         assert_eq!(plan.order(), &[0, 1, 2]);
         // Seeding W flips the chain: the last atom now has a bound term.
         let w = voc.var_id("W").unwrap();
-        let plan = JoinPlan::compile(&q.body, &[w], None);
+        let plan = JoinPlan::compile(&q.body, &[w], None, &mut HomStats::default());
         assert_eq!(plan.order(), &[2, 1, 0]);
     }
 
@@ -1571,10 +1608,10 @@ mod tests {
     fn join_order_is_pinned_for_star() {
         let mut voc = Vocabulary::new();
         let (_, q) = parse_query(&mut voc, "q(X) :- E(X,A), E(X,B), E(X,C), Hub(X)").unwrap();
-        let plan = JoinPlan::compile(&q.body, &[], None);
+        let plan = JoinPlan::compile(&q.body, &[], None, &mut HomStats::default());
         assert_eq!(plan.order(), &[3, 0, 1, 2]);
         // Pinning a pivot keeps the greedy rule for the rest.
-        let plan = JoinPlan::compile(&q.body, &[], Some(1));
+        let plan = JoinPlan::compile(&q.body, &[], Some(1), &mut HomStats::default());
         assert_eq!(plan.order(), &[1, 3, 0, 2]);
     }
 
@@ -1590,7 +1627,7 @@ mod tests {
         let (_, q) = parse_query(&mut voc, "q(X,Z) :- R(X,Y), R(Y,Z), P(Z)").unwrap();
         let mut plan_homs = Vec::new();
         let mut plan_stats = HomStats::default();
-        let plan = JoinPlan::compile(&q.body, &[], None);
+        let plan = JoinPlan::compile(&q.body, &[], None, &mut HomStats::default());
         let _ = plan.execute(&d, &[], None, &mut plan_stats, |h| {
             plan_homs.push(h.to_assignment());
             ControlFlow::<()>::Continue(())
@@ -1638,7 +1675,7 @@ mod tests {
         let x = voc.var_id("X").unwrap();
         let a = Term::Const(voc.constant("a"));
         let b = Term::Const(voc.constant("b"));
-        let plan = JoinPlan::compile(&q.body, &[x, x], None);
+        let plan = JoinPlan::compile(&q.body, &[x, x], None, &mut HomStats::default());
         assert_eq!(plan.seeded(), &[x]);
         assert_eq!(plan.seed_values(&[(x, a), (x, a)]), Some(vec![a]));
         assert_eq!(plan.seed_values(&[(x, a), (x, b)]), None);
@@ -1663,7 +1700,7 @@ mod tests {
         let d = db(&mut voc, &["P(a)"]);
         let x = voc.var("X");
         let a = Term::Const(voc.constant("a"));
-        let plan = JoinPlan::compile(&[], &[x], None);
+        let plan = JoinPlan::compile(&[], &[x], None, &mut HomStats::default());
         let mut stats = HomStats::default();
         let mut homs = Vec::new();
         let _ = plan.execute(&d, &[a], None, &mut stats, |h| {
@@ -1684,7 +1721,7 @@ mod tests {
         let (_, q) = parse_query(&mut voc, "q(X) :- P(X)").unwrap();
         let _ = find_hom(&q.body, &d, &Assignment::new());
         let mut stats = HomStats::default();
-        record_prefilter_reject(&mut stats);
+        assert!(!prefilter(pred_sig(&q.body), 0, &mut stats));
         let after = global_hom_snapshot();
         assert!(after.candidates_scanned > before.candidates_scanned);
         assert!(after.plans_compiled > before.plans_compiled);

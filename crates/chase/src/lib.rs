@@ -37,8 +37,7 @@ pub use eval::{
 };
 pub use hom::{
     find_hom, for_each_hom, for_each_hom_with_delta, global_hom_snapshot, instance_sig, pred_sig,
-    record_plan_reuse, record_prefilter_reject, sig_may_hom, Assignment, HomStats, HomView,
-    JoinPlan, PlanCache, NO_LIMIT,
+    sig_may_hom, Assignment, HomStats, HomView, JoinPlan, PlanCache, NO_LIMIT,
 };
 pub use omq_eval::{certain_answers_via_chase, critical_instance, EvalError};
 pub use runtime::{effective_threads, parallel_indexed, Budget, CancelToken};

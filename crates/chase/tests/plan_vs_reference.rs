@@ -194,8 +194,9 @@ fn run_plan(plan: &JoinPlan, inst: &Instance) -> (Vec<Vec<(VarId, Term)>>, u64) 
 /// no-more-candidates invariant, and returns `(costed, greedy)` scan counts
 /// so fixtures can additionally assert a strict win.
 fn assert_costed_no_worse(body: &[Atom], inst: &Instance) -> (u64, u64) {
-    let greedy = JoinPlan::compile(body, &[], None);
-    let costed = JoinPlan::compile_costed(body, &[], None, &inst.card_sketch());
+    let mut stats = HomStats::default();
+    let greedy = JoinPlan::compile(body, &[], None, &mut stats);
+    let costed = JoinPlan::compile_costed(body, &[], None, &inst.card_sketch(), &mut stats);
     let (homs_g, cands_g) = run_plan(&greedy, inst);
     let (homs_c, cands_c) = run_plan(&costed, inst);
     assert_eq!(homs_c, homs_g, "costed plan changed the answer set");
@@ -290,13 +291,13 @@ fn costed_plans_agree_with_reference_on_random_cases() {
         let seed = gen_seed(&mut rng, &body);
 
         let seeded: Vec<VarId> = seed.keys().copied().collect();
-        let plan = JoinPlan::compile_costed(&body, &seeded, None, &inst.card_sketch());
+        let mut stats = HomStats::default();
+        let plan = JoinPlan::compile_costed(&body, &seeded, None, &inst.card_sketch(), &mut stats);
         let pairs: Vec<(VarId, Term)> = seed.iter().map(|(&v, &t)| (v, t)).collect();
         let seed_vals = plan
             .seed_values(&pairs)
             .expect("distinct vars cannot conflict");
         let mut got: Vec<Vec<(VarId, Term)>> = Vec::new();
-        let mut stats = HomStats::default();
         let _ = plan.execute(&inst, &seed_vals, None, &mut stats, |h| {
             got.push(canon_view(&plan, h));
             ControlFlow::<()>::Continue(())
@@ -376,6 +377,7 @@ fn reoptimization_decision_is_deterministic() {
         let again = cache.get_or_compile_costed(&body, &[], None, &inst, &mut stats);
         assert!(Arc::ptr_eq(&replanned, &again), "refreshed plan is stable");
         assert_eq!(stats.plans_reoptimized, 1);
+        assert_eq!(stats.plans_compiled, 2, "the replan counts as a compile");
 
         (
             stats.plans_reoptimized,

@@ -207,7 +207,8 @@ fn query_image(q: &Ucq, inst: &Instance, tuple: &[ConstId]) -> Option<Vec<Atom>>
         if d.head.len() != tuple.len() {
             continue;
         }
-        let plan = JoinPlan::compile(&d.body, &d.head, None);
+        let mut stats = HomStats::default();
+        let plan = JoinPlan::compile(&d.body, &d.head, None, &mut stats);
         let pairs: Vec<(VarId, Term)> = d
             .head
             .iter()
@@ -218,7 +219,6 @@ fn query_image(q: &Ucq, inst: &Instance, tuple: &[ConstId]) -> Option<Vec<Atom>>
             continue;
         };
         let mut image: Option<Vec<Atom>> = None;
-        let mut stats = HomStats::default();
         let _ = plan.execute(inst, &seed, None, &mut stats, |h| {
             image = Some(
                 d.body
@@ -355,7 +355,8 @@ fn find_cover(
         if d.head.len() != tuple.len() {
             continue;
         }
-        let plan = JoinPlan::compile(&d.body, &d.head, None);
+        let mut stats = HomStats::default();
+        let plan = JoinPlan::compile(&d.body, &d.head, None, &mut stats);
         let pairs: Vec<(VarId, Term)> = d
             .head
             .iter()
@@ -383,7 +384,6 @@ fn find_cover(
             }
         }
         let mut result: Option<Vec<(String, String)>> = None;
-        let mut stats = HomStats::default();
         let _ = plan.execute(db, &seed, None, &mut stats, |h| {
             result = Some(
                 vars.iter()

@@ -15,12 +15,13 @@
 //! Span names form a fixed taxonomy (see DESIGN.md §5): `chase`,
 //! `chase.round`, `hom.compile`, `hom.plan.cost`, `hom.probe`, `rewrite`,
 //! `rewrite.round`, `rewrite.expand`, `rewrite.merge`, `rewrite.prune`,
-//! `contain`, `contain.sweep`, `serve.<op>`. Counters carry the legacy
-//! stats-struct fields (`chase.triggers_fired`, `rewrite.generated`, …) so
-//! the manual stat-threading has a single typed sink, plus the adaptive
-//! planner's events: `hom.plan.reopt` (one per cached plan recompiled after
-//! cost-model divergence) and the `hom.est_ratio_*` /
-//! `rewrite.est_ratio_*` estimate-quality buckets.
+//! `contain`, `contain.sweep`, `serve.<op>`. Counters stream the fields of
+//! the returned stats structs once per run (`chase.triggers_fired`,
+//! `rewrite.generated`, …). Homomorphism-kernel work is named once, by its
+//! `HomStats` field: every producer (chase, rewriting sieve) emits
+//! `hom.<field>` for each event count, including the adaptive planner's
+//! `hom.plans_reoptimized` and `hom.est_ratio_*` buckets; the
+//! `sketch_build_ns` timing is not a count and is not emitted.
 //!
 //! ## Determinism
 //!

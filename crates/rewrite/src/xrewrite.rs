@@ -47,7 +47,7 @@ use std::time::Instant;
 
 use omq_chase::{
     cq_canonical_form, cq_core_budgeted_report, cq_isomorphic, runtime, Budget, CqCanonicalForm,
-    SubsumptionSieve,
+    HomStats, SubsumptionSieve,
 };
 use omq_model::{mgu_refs, Atom, Cq, Omq, Substitution, Term, Tgd, Ucq, VarId, Vocabulary};
 
@@ -56,6 +56,12 @@ use omq_model::{mgu_refs, Atom, Cq, Omq, Substitution, Term, Tgd, Ucq, VarId, Vo
 /// are almost always rigid after color refinement, so the budget is only hit
 /// by pathological symmetric queries, which fall back to the pairwise path.
 const SYMMETRY_BUDGET: usize = 5_040;
+
+/// Flush cadence of the incremental subsumption sieve: finalized disjuncts
+/// are folded into the sieve whenever at least this many new queries have
+/// been generated since the last flush (and once more at the end). The
+/// surviving disjunct list is independent of it.
+const PRUNE_INTERVAL: usize = 256;
 
 /// Endomorphism budget per core-folding round (see `cq_core_budgeted`).
 const CORE_BUDGET: usize = 2_000;
@@ -111,12 +117,6 @@ pub struct XRewriteConfig {
     /// the surviving disjunct list is bit-identical either way (only the
     /// `plans_compiled`/`plan_cache_hits` counters differ).
     pub plan_cache: bool,
-    /// Flush cadence of the incremental subsumption sieve: finalized
-    /// disjuncts are folded into the sieve whenever at least this many new
-    /// queries have been generated since the last flush (and once more at
-    /// the end). Purely a scheduling knob — the surviving disjunct list is
-    /// independent of it.
-    pub prune_interval: usize,
     /// Worker threads for the per-round frontier expansion. `0` means "use
     /// the machine's available parallelism"; `1` forces the sequential
     /// path. Any setting produces bit-identical output.
@@ -139,7 +139,6 @@ impl Default for XRewriteConfig {
             dedup: DedupStrategy::Canonical,
             prune_subsumed: true,
             plan_cache: true,
-            prune_interval: 256,
             threads: 0,
             budget: Budget::unlimited(),
         }
@@ -210,24 +209,8 @@ pub struct RewriteStats {
     pub core_budget_exhaustions: usize,
     /// Output disjuncts dropped as homomorphically subsumed.
     pub subsumption_kills: usize,
-    /// Join plans compiled by the subsumption sieve.
-    pub plans_compiled: u64,
-    /// Sieve subsumption probes served by a cached entry plan.
-    pub plan_cache_hits: u64,
-    /// Sieve subsumption probes rejected by the predicate-signature
-    /// prefilter before any plan executed.
-    pub prefilter_rejects: u64,
-    /// Cached plans recompiled after cost-model divergence (sieve plans are
-    /// compiled per entry, so this is 0 unless a `PlanCache` is in play).
-    pub plans_reoptimized: u64,
-    /// Costed-plan executions whose observed candidates were ≤ prediction.
-    pub est_ratio_le_1: u64,
-    /// Costed-plan executions within `REOPT_FACTOR`× of prediction.
-    pub est_ratio_le_4: u64,
-    /// Costed-plan executions beyond `REOPT_FACTOR`× of prediction.
-    pub est_ratio_gt_4: u64,
-    /// Nanoseconds spent building cardinality sketches for plan costing.
-    pub sketch_build_ns: u64,
+    /// Homomorphism-kernel work of the subsumption sieve.
+    pub hom: HomStats,
     /// Wall clock spent expanding frontier entries (worker side).
     pub expand_nanos: u64,
     /// Wall clock spent merging + deduplicating candidates (caller side).
@@ -263,14 +246,8 @@ impl RewriteStats {
                 self.core_budget_exhaustions as u64,
             ),
             ("rewrite.subsumption_kills", self.subsumption_kills as u64),
-            ("rewrite.plans_compiled", self.plans_compiled),
-            ("rewrite.plan_cache_hits", self.plan_cache_hits),
-            ("rewrite.prefilter_rejects", self.prefilter_rejects),
-            ("rewrite.plans_reoptimized", self.plans_reoptimized),
-            ("rewrite.est_ratio_le_1", self.est_ratio_le_1),
-            ("rewrite.est_ratio_le_4", self.est_ratio_le_4),
-            ("rewrite.est_ratio_gt_4", self.est_ratio_gt_4),
         ]);
+        self.hom.emit_obs();
     }
 }
 
@@ -1112,7 +1089,7 @@ pub fn xrewrite(
         drop(merge_span);
         cursor = frontier_end;
 
-        if cfg.prune_subsumed && entries.len() - last_flush >= cfg.prune_interval {
+        if cfg.prune_subsumed && entries.len() - last_flush >= PRUNE_INTERVAL {
             last_flush = entries.len();
             flush(&mut sieve, &mut pending, &mut stats);
         }
@@ -1121,15 +1098,7 @@ pub fn xrewrite(
     let disjuncts: Vec<Cq> = if cfg.prune_subsumed {
         flush(&mut sieve, &mut pending, &mut stats);
         stats.subsumption_kills = sieve.kills();
-        let hs = sieve.hom_stats();
-        stats.plans_compiled = hs.plans_compiled;
-        stats.plan_cache_hits = hs.plan_cache_hits;
-        stats.prefilter_rejects = hs.prefilter_rejects;
-        stats.plans_reoptimized = hs.plans_reoptimized;
-        stats.est_ratio_le_1 = hs.est_ratio_le_1;
-        stats.est_ratio_le_4 = hs.est_ratio_le_4;
-        stats.est_ratio_gt_4 = hs.est_ratio_gt_4;
-        stats.sketch_build_ns = hs.sketch_build_ns;
+        stats.hom = sieve.hom_stats();
         sieve.into_disjuncts()
     } else {
         entries

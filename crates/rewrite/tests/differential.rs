@@ -258,10 +258,11 @@ fn rewriting_differential_sweep() {
         }
 
         // (a) Thread-count independence: byte-identical disjunct lists and
-        // identical deterministic counters — including the adaptive
-        // planner's (replan decisions and estimate-quality buckets are
-        // functions of instance content and call order, never of the
-        // thread count). `0` resolves to the machine's parallelism.
+        // identical deterministic counters — the sieve's whole kernel record
+        // but the sketch timing, including the adaptive planner's (replan
+        // decisions and estimate-quality buckets are functions of instance
+        // content and call order, never of the thread count). `0` resolves
+        // to the machine's parallelism.
         for threads in [0usize, 2, 4, 8] {
             let out = run(
                 &case,
@@ -282,19 +283,9 @@ fn rewriting_differential_sweep() {
                 "case {case_no}"
             );
             assert_eq!(
-                (
-                    out.stats.plans_reoptimized,
-                    out.stats.est_ratio_le_1,
-                    out.stats.est_ratio_le_4,
-                    out.stats.est_ratio_gt_4,
-                ),
-                (
-                    base.stats.plans_reoptimized,
-                    base.stats.est_ratio_le_1,
-                    base.stats.est_ratio_le_4,
-                    base.stats.est_ratio_gt_4,
-                ),
-                "case {case_no}: planner counters differ at {threads} threads"
+                out.stats.hom.counts(),
+                base.stats.hom.counts(),
+                "case {case_no}: kernel counters differ at {threads} threads"
             );
         }
 
@@ -320,7 +311,7 @@ fn rewriting_differential_sweep() {
             "case {case_no}: kills differ with plan cache off"
         );
         assert_eq!(
-            nocache.stats.plan_cache_hits, 0,
+            nocache.stats.hom.plan_cache_hits, 0,
             "case {case_no}: cache hits counted with plan cache off"
         );
 

@@ -296,10 +296,7 @@ mod tests {
         let base = XRewriteConfig::default();
         let mut threads = base.clone();
         threads.threads = 7;
-        let mut interval = base.clone();
-        interval.prune_interval = 1;
         assert_eq!(RewriteCfgKey::of(&base), RewriteCfgKey::of(&threads));
-        assert_eq!(RewriteCfgKey::of(&base), RewriteCfgKey::of(&interval));
         let mut budget = base.clone();
         budget.max_queries = 99;
         assert_ne!(RewriteCfgKey::of(&base), RewriteCfgKey::of(&budget));

@@ -187,18 +187,7 @@ pub fn table(engines: &[Engine]) -> Vec<Stat> {
     // Process-global homomorphism-kernel counters: monotone over the
     // process lifetime, so they cover every request of every engine.
     let h = omq_chase::global_hom_snapshot();
-    for (kind, v) in [
-        ("candidates_scanned", h.candidates_scanned),
-        ("backtracks", h.backtracks),
-        ("homs_found", h.homs_found),
-        ("plans_compiled", h.plans_compiled),
-        ("plan_cache_hits", h.plan_cache_hits),
-        ("prefilter_rejects", h.prefilter_rejects),
-        ("plans_reoptimized", h.plans_reoptimized),
-        ("est_ratio_le_1", h.est_ratio_le_1),
-        ("est_ratio_le_4", h.est_ratio_le_4),
-        ("est_ratio_gt_4", h.est_ratio_gt_4),
-    ] {
+    for (kind, v) in h.counts() {
         t.counter(format!("/hom_kernel/{kind}"), "omq_hom_events_total", &[("kind", kind)], "Homomorphism-kernel events (process-global), by kind.", v);
     }
     t.counter("/hom_kernel/sketch_build_us", "omq_hom_sketch_build_us_total", &[], "Microseconds spent building cardinality sketches (process-global).", h.sketch_build_ns / 1_000);

@@ -22,6 +22,12 @@ echo "==> tier-1: cargo build --release && cargo test"
 cargo build --release
 cargo test -q --release --workspace
 
+echo "==> perfbench builds and passes its self-tests"
+# perfbench is its own cargo workspace compiled against the public stats
+# types (global_hom_snapshot(), RewriteStats, ...); the root test run never
+# builds it, so an API break there would only surface as a failed benchmark.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> perf smoke (writes BENCH_chase.json, BENCH_rewrite.json, BENCH_guarded.json)"
 cargo run -q --release -p omq-bench --bin perf_smoke
 
