@@ -11,8 +11,20 @@ use omq_bench::workloads::{
     guarded_seed_db, guarded_workload, linear_workload, nr_workload, random_db,
 };
 use omq_chase::{chase, cq_contained_stats, global_hom_snapshot, ChaseConfig, HomStats};
-use omq_model::{parse_query, Vocabulary};
-use omq_rewrite::{xrewrite, XRewriteConfig};
+use omq_core::{contains_with, ContainmentConfig};
+use omq_model::{parse_query, Omq, Vocabulary};
+use omq_rewrite::{xrewrite, RewriteArtifact, RewriteSource, XRewriteConfig};
+
+/// Replays one rewriting computed before the bracket, as a warm rewrite
+/// cache does: the containment sweep is then the only kernel work.
+struct Replay(Omq, RewriteArtifact);
+
+impl RewriteSource for Replay {
+    fn rewrite(&mut self, omq: &Omq, _: &mut Vocabulary, _: &XRewriteConfig) -> RewriteArtifact {
+        assert!(omq == &self.0, "only the replayed OMQ is asked for");
+        self.1.clone()
+    }
+}
 
 /// Runs `f`, returning the kernel record it reports and the global delta
 /// around it.
@@ -96,4 +108,28 @@ fn global_delta_equals_returned_hom_stats() {
     assert_eq!(contained.prefilter_rejects, 1);
     assert_eq!(contained.plans_compiled, 2);
     assert!(contained.homs_found >= 1);
+
+    // The containment sweep: compiling the right-hand probes and probing
+    // every frozen disjunct, on one worker and merged across two.
+    let (e1, mut voc) = linear_workload(32, 3);
+    let cfg = ContainmentConfig::default();
+    let art = RewriteArtifact::from_result(xrewrite(&e1, &mut voc, &cfg.rewrite));
+    for threads in [1, 2] {
+        let cfg = ContainmentConfig {
+            threads,
+            ..ContainmentConfig::default()
+        };
+        let mut src = Replay(e1.clone(), art.clone());
+        let sweep = assert_mirrored(
+            &format!("contains_with E1 chain=32 threads={threads}"),
+            bracket(|| {
+                let outcome = contains_with(&e1, &e1, &mut voc.clone(), &cfg, &mut src).unwrap();
+                assert!(outcome.result.is_contained());
+                assert_eq!(outcome.witnesses_checked, art.ucq.disjuncts.len());
+                outcome.hom
+            }),
+        );
+        assert_eq!(sweep.plans_compiled as usize, art.ucq.disjuncts.len());
+        assert!(sweep.candidates_scanned > 0 && sweep.homs_found > 0);
+    }
 }

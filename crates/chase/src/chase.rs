@@ -677,6 +677,7 @@ pub fn stratified_chase(
 mod tests {
     use super::*;
     use crate::eval::holds_cq;
+    use crate::hom::HomStats;
     use omq_model::{parse_query, parse_tgd};
 
     fn db(voc: &mut Vocabulary, facts: &[&str]) -> Instance {
@@ -769,7 +770,7 @@ mod tests {
         // Infinite chase: budget by depth.
         let out = chase(&d, &sigma, &mut voc, &ChaseConfig::with_depth(4));
         let (_, q) = parse_query(&mut voc, "q :- R(X,Y), P(Y)").unwrap();
-        assert!(holds_cq(&q, &out.instance));
+        assert!(holds_cq(&q, &out.instance, &mut HomStats::default()));
     }
 
     #[test]
@@ -972,6 +973,6 @@ mod tests {
         let d = db(&mut voc, &["P(a)"]);
         let out = chase(&d, &sigma, &mut voc, &ChaseConfig::default());
         let (_, q) = parse_query(&mut voc, "q :- R(a, marker)").unwrap();
-        assert!(holds_cq(&q, &out.instance));
+        assert!(holds_cq(&q, &out.instance, &mut HomStats::default()));
     }
 }

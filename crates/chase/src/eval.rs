@@ -59,30 +59,28 @@ pub fn eval_ucq(q: &Ucq, inst: &Instance) -> HashSet<Vec<ConstId>> {
 /// Unlike [`eval_cq`], works for non-Boolean queries too: it asks whether
 /// the answer set would be non-empty *ignoring* the constants-only filter,
 /// i.e. whether some homomorphism exists at all.
-pub fn holds_cq(q: &Cq, inst: &Instance) -> bool {
-    let mut stats = HomStats::default();
-    let plan = crate::hom::compile_costed_for(&q.body, &[], None, inst, &mut stats);
-    plan.execute(inst, &[], None, &mut stats, |_| ControlFlow::Break(()))
+pub fn holds_cq(q: &Cq, inst: &Instance, stats: &mut HomStats) -> bool {
+    let plan = crate::hom::compile_costed_for(&q.body, &[], None, inst, stats);
+    plan.execute(inst, &[], None, stats, |_| ControlFlow::Break(()))
         .is_break()
 }
 
 /// Does some disjunct of the UCQ hold in the instance?
-pub fn holds_ucq(q: &Ucq, inst: &Instance) -> bool {
-    q.disjuncts.iter().any(|d| holds_cq(d, inst))
+pub fn holds_ucq(q: &Ucq, inst: &Instance, stats: &mut HomStats) -> bool {
+    q.disjuncts.iter().any(|d| holds_cq(d, inst, stats))
 }
 
 /// Is the fixed tuple `c̄` an answer of `q` on `inst`?
-pub fn is_answer(q: &Cq, inst: &Instance, tuple: &[ConstId]) -> bool {
-    CompiledCq::new(q).is_answer(inst, instance_sig(inst), tuple, &mut HomStats::default())
+pub fn is_answer(q: &Cq, inst: &Instance, tuple: &[ConstId], stats: &mut HomStats) -> bool {
+    CompiledCq::new(q, stats).is_answer(inst, instance_sig(inst), tuple, stats)
 }
 
 /// Is the fixed tuple `c̄` an answer of some disjunct of `q` on `inst`?
-pub fn is_answer_ucq(q: &Ucq, inst: &Instance, tuple: &[ConstId]) -> bool {
+pub fn is_answer_ucq(q: &Ucq, inst: &Instance, tuple: &[ConstId], stats: &mut HomStats) -> bool {
     let isig = instance_sig(inst);
-    let mut stats = HomStats::default();
     q.disjuncts
         .iter()
-        .any(|d| CompiledCq::new(d).is_answer(inst, isig, tuple, &mut stats))
+        .any(|d| CompiledCq::new(d, stats).is_answer(inst, isig, tuple, stats))
 }
 
 /// A CQ compiled for repeated fixed-tuple membership probes: the body plan
@@ -97,8 +95,8 @@ pub struct CompiledCq {
 impl CompiledCq {
     /// Compiles `q` (uncached; use [`CompiledCq::from_cache`] when many
     /// queries share bodies).
-    pub fn new(q: &Cq) -> CompiledCq {
-        let plan = JoinPlan::compile(&q.body, &q.head, None, &mut HomStats::default());
+    pub fn new(q: &Cq, stats: &mut HomStats) -> CompiledCq {
+        let plan = JoinPlan::compile(&q.body, &q.head, None, stats);
         CompiledCq {
             plan: Arc::new(plan),
             head: q.head.clone(),
@@ -157,10 +155,14 @@ pub struct CompiledUcq {
 }
 
 impl CompiledUcq {
-    pub fn new(q: &Ucq) -> CompiledUcq {
+    pub fn new(q: &Ucq, stats: &mut HomStats) -> CompiledUcq {
         CompiledUcq {
             arity: q.arity,
-            disjuncts: q.disjuncts.iter().map(CompiledCq::new).collect(),
+            disjuncts: q
+                .disjuncts
+                .iter()
+                .map(|d| CompiledCq::new(d, stats))
+                .collect(),
         }
     }
 
@@ -212,7 +214,7 @@ mod tests {
         let ans = eval_cq(&q, &d);
         assert_eq!(ans.len(), 1);
         assert!(ans.contains(&vec![]));
-        assert!(holds_cq(&q, &d));
+        assert!(holds_cq(&q, &d, &mut HomStats::default()));
     }
 
     #[test]
@@ -227,7 +229,7 @@ mod tests {
         // The only witness maps Y to a null: no certain answer tuple.
         assert!(eval_cq(&q, &inst).is_empty());
         // But the Boolean version holds.
-        assert!(holds_cq(&q, &inst));
+        assert!(holds_cq(&q, &inst, &mut HomStats::default()));
     }
 
     #[test]
@@ -237,7 +239,11 @@ mod tests {
         let d = db(&mut voc, &["P(a)", "T(b)"]);
         let ans = eval_ucq(prog.query("q").unwrap(), &d);
         assert_eq!(ans.len(), 2);
-        assert!(holds_ucq(prog.query("q").unwrap(), &d));
+        assert!(holds_ucq(
+            prog.query("q").unwrap(),
+            &d,
+            &mut HomStats::default()
+        ));
     }
 
     #[test]
@@ -247,9 +253,14 @@ mod tests {
         let (_, q) = parse_query(&mut voc, "q(X) :- R(X,Y), P(Y)").unwrap();
         let a = voc.const_id("a").unwrap();
         let b = voc.const_id("b").unwrap();
-        assert!(is_answer(&q, &d, &[a]));
-        assert!(!is_answer(&q, &d, &[b]));
-        assert!(!is_answer(&q, &d, &[a, b])); // arity mismatch
+        let mut stats = HomStats::default();
+        assert!(is_answer(&q, &d, &[a], &mut stats));
+        assert!(!is_answer(&q, &d, &[b], &mut stats));
+        assert!(!is_answer(&q, &d, &[a, b], &mut stats)); // arity mismatch
+
+        // Each probe compiled its plan into the caller's record.
+        assert_eq!(stats.plans_compiled, 3);
+        assert!(stats.candidates_scanned > 0);
     }
 
     #[test]
@@ -259,7 +270,7 @@ mod tests {
         let (_, q) = parse_query(&mut voc, "q(X,X) :- R(X,X)").unwrap();
         let a = voc.const_id("a").unwrap();
         let b = voc.const_id("b").unwrap();
-        assert!(is_answer(&q, &d, &[a, a]));
-        assert!(!is_answer(&q, &d, &[a, b]));
+        assert!(is_answer(&q, &d, &[a, a], &mut HomStats::default()));
+        assert!(!is_answer(&q, &d, &[a, b], &mut HomStats::default()));
     }
 }

@@ -126,6 +126,12 @@ impl HomStats {
         self.zip_with(earlier, |a, b| a - b)
     }
 
+    /// Adds `other`'s work to this record, field by field (to merge
+    /// per-worker records; the global mirror already counted it).
+    pub fn add(&mut self, other: &HomStats) {
+        *self = self.zip_with(other, |a, b| a + b);
+    }
+
     fn zip_with(&self, other: &HomStats, f: impl Fn(u64, u64) -> u64) -> HomStats {
         let (a, b) = (self.values(), other.values());
         HomStats::from_values(std::array::from_fn(|i| f(a[i], b[i])))
@@ -144,7 +150,7 @@ static GLOBAL: [AtomicU64; HOM_FIELDS] = [const { AtomicU64::new(0) }; HOM_FIELD
 fn record(stats: &mut HomStats, event: impl FnOnce(&mut HomStats)) {
     let mut delta = HomStats::default();
     event(&mut delta);
-    *stats = stats.zip_with(&delta, |a, b| a + b);
+    stats.add(&delta);
     for (slot, v) in GLOBAL.iter().zip(delta.values()) {
         if v != 0 {
             slot.fetch_add(v, Ordering::Relaxed);

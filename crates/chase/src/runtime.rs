@@ -125,7 +125,8 @@ pub fn effective_threads(requested: usize, work: usize) -> usize {
 
 /// Runs `body(&mut state, i)` for every `i in 0..n` across `threads` scoped
 /// workers, each pulling indices from a shared atomic counter. `init` builds
-/// one per-worker state (a scratch buffer, a cloned vocabulary, …).
+/// one per-worker state (a scratch buffer, a cloned vocabulary, …); the
+/// workers' final states are returned, in no particular order.
 ///
 /// Scheduling is dynamic but index-complete: every index is handed to
 /// exactly one worker (the body may still decide to skip it, e.g. under a
@@ -137,9 +138,12 @@ pub fn parallel_indexed<S>(
     n: usize,
     init: impl Fn() -> S + Sync,
     body: impl Fn(&mut S, usize) + Sync,
-) {
+) -> Vec<S>
+where
+    S: Send,
+{
     if n == 0 {
-        return;
+        return Vec::new();
     }
     let next = AtomicUsize::new(0);
     // The obs recorder is thread-local; propagate the caller's recorder (if
@@ -147,22 +151,29 @@ pub fn parallel_indexed<S>(
     // same trace.
     let recorder = omq_obs::current();
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            let (next, init, body) = (&next, &init, &body);
-            let recorder = recorder.clone();
-            scope.spawn(move || {
-                let _obs = omq_obs::install(recorder);
-                let mut state = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+        let workers: Vec<_> = (0..threads.min(n))
+            .map(|_| {
+                let (next, init, body) = (&next, &init, &body);
+                let recorder = recorder.clone();
+                scope.spawn(move || {
+                    let _obs = omq_obs::install(recorder);
+                    let mut state = init();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        body(&mut state, i);
                     }
-                    body(&mut state, i);
-                }
-            });
-        }
-    });
+                    state
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 #[cfg(test)]

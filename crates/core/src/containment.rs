@@ -172,6 +172,11 @@ pub struct ContainmentOutcome {
     /// Size (atoms) of the largest disjunct tested — the empirical
     /// counterpart of the `f_O` bounds of Props. 12/14/17.
     pub max_witness_size: usize,
+    /// Kernel work of the disjunct sweep against a rewritten right-hand
+    /// side: compiling its probe plans and the answer probes. Rewritings
+    /// and per-disjunct evaluations of other right-hand sides are not
+    /// included.
+    pub hom: HomStats,
 }
 
 /// How the right-hand side is evaluated on each frozen disjunct.
@@ -209,18 +214,19 @@ impl RhsChecker {
         voc: &mut Vocabulary,
         cfg: &ContainmentConfig,
         src: &mut dyn RewriteSource,
+        hom: &mut HomStats,
     ) -> RhsChecker {
         match rhs_language {
             OmqLanguage::Empty | OmqLanguage::Linear | OmqLanguage::Sticky => {
                 if let Some((ucq, complete)) = reuse {
                     return RhsChecker::Rewritten {
-                        ucq: CompiledUcq::new(ucq),
+                        ucq: CompiledUcq::new(ucq, hom),
                         complete,
                     };
                 }
                 let art = src.rewrite(q2, voc, &cfg.eval.rewrite);
                 RhsChecker::Rewritten {
-                    ucq: CompiledUcq::new(&art.ucq),
+                    ucq: CompiledUcq::new(&art.ucq, hom),
                     complete: art.complete,
                 }
             }
@@ -229,7 +235,8 @@ impl RhsChecker {
     }
 
     /// Checks one already-frozen disjunct (canonical database plus frozen
-    /// head tuple) against `Q₂`.
+    /// head tuple) against `Q₂`, counting the probes' kernel work into
+    /// `hom`.
     pub(crate) fn check_one(
         &self,
         db: &Instance,
@@ -237,6 +244,7 @@ impl RhsChecker {
         q2: &Omq,
         voc: &mut Vocabulary,
         cfg: &ContainmentConfig,
+        hom: &mut HomStats,
     ) -> DisjunctVerdict {
         let inconclusive = || {
             DisjunctVerdict::Inconclusive(format!(
@@ -246,7 +254,7 @@ impl RhsChecker {
         };
         match self {
             RhsChecker::Rewritten { ucq, complete } => {
-                if ucq.is_answer(db, tuple, &mut HomStats::default()) {
+                if ucq.is_answer(db, tuple, hom) {
                     DisjunctVerdict::Pass
                 } else if *complete {
                     DisjunctVerdict::Refuted
@@ -267,7 +275,8 @@ impl RhsChecker {
 
 /// Tests the frozen disjuncts of the left-hand rewriting against `q2`.
 /// Returns a witness on refutation, `Ok(None)` when all disjuncts pass, or
-/// `Err(reason)` when an evaluation was inconclusive.
+/// `Err(reason)` when an evaluation was inconclusive. The probes' kernel
+/// work, every worker's included, is counted into `hom`.
 ///
 /// With more than one worker the sweep fans the per-disjunct checks across
 /// a scoped thread pool. The parallel path is deterministic: the verdict is
@@ -282,6 +291,7 @@ fn check_disjuncts(
     voc: &mut Vocabulary,
     cfg: &ContainmentConfig,
     stats: &mut (usize, usize),
+    hom: &mut HomStats,
 ) -> Result<Option<Witness>, String> {
     const EXPIRED: &str = "deadline expired during the disjunct sweep";
     let _span = omq_obs::span("contain.sweep");
@@ -299,7 +309,7 @@ fn check_disjuncts(
             stats.0 += 1;
             stats.1 = stats.1.max(d.num_atoms());
             let (db, tuple) = d.freeze(voc);
-            match rhs.check_one(&db, &tuple, q2, voc, cfg) {
+            match rhs.check_one(&db, &tuple, q2, voc, cfg, hom) {
                 DisjunctVerdict::Pass => {}
                 DisjunctVerdict::Refuted => {
                     // A definite refutation wins even if earlier disjuncts
@@ -332,11 +342,11 @@ fn check_disjuncts(
         }
     };
     let seed_voc: &Vocabulary = voc;
-    runtime::parallel_indexed(
+    let workers = runtime::parallel_indexed(
         threads,
         disjuncts.len(),
-        || seed_voc.clone(),
-        |wvoc, i| {
+        || (seed_voc.clone(), HomStats::default()),
+        |(wvoc, whom), i| {
             // Early cancel: once some refutation exists, only indices
             // below it can still change the outcome.
             if cancel.load(Ordering::Relaxed) && i > best_refuted.load(Ordering::Relaxed) {
@@ -352,7 +362,7 @@ fn check_disjuncts(
             checked.fetch_add(1, Ordering::Relaxed);
             max_size.fetch_max(d.num_atoms(), Ordering::Relaxed);
             let (db, tuple) = d.freeze(wvoc);
-            match rhs.check_one(&db, &tuple, q2, wvoc, cfg) {
+            match rhs.check_one(&db, &tuple, q2, wvoc, cfg, whom) {
                 DisjunctVerdict::Pass => {}
                 DisjunctVerdict::Refuted => {
                     best_refuted.fetch_min(i, Ordering::Relaxed);
@@ -362,6 +372,9 @@ fn check_disjuncts(
             }
         },
     );
+    for (_, whom) in &workers {
+        hom.add(whom);
+    }
     stats.0 += checked.load(Ordering::Relaxed);
     stats.1 = stats.1.max(max_size.load(Ordering::Relaxed));
 
@@ -418,6 +431,7 @@ pub fn contains_with(
         detect_language(q2)
     };
     let mut stats = (0usize, 0usize);
+    let mut hom = HomStats::default();
 
     if let Some(result) =
         propositional_enumeration(q1, q2, (lhs_language, rhs_language), voc, cfg, &mut stats)
@@ -428,6 +442,7 @@ pub fn contains_with(
             rhs_language,
             witnesses_checked: stats.0,
             max_witness_size: stats.1,
+            hom,
         });
     }
 
@@ -441,8 +456,8 @@ pub fn contains_with(
         // half of every equivalence check) the left rewriting *is* the
         // right one: reuse it instead of rewriting again.
         let reuse = (lhs_complete && q1 == q2).then_some((&lhs_ucq, true));
-        let rhs = RhsChecker::build(q2, rhs_language, reuse, voc, cfg, src);
-        match check_disjuncts(&lhs_ucq.disjuncts, &rhs, q2, voc, cfg, &mut stats) {
+        let rhs = RhsChecker::build(q2, rhs_language, reuse, voc, cfg, src, &mut hom);
+        match check_disjuncts(&lhs_ucq.disjuncts, &rhs, q2, voc, cfg, &mut stats, &mut hom) {
             Ok(Some(w)) => ContainmentResult::NotContained(Box::new(w)),
             Ok(None) if lhs_complete => ContainmentResult::Contained,
             Ok(None) => ContainmentResult::Unknown(
@@ -460,6 +475,7 @@ pub fn contains_with(
             cfg,
             src,
             &mut stats,
+            &mut hom,
         )
     };
 
@@ -473,6 +489,7 @@ pub fn contains_with(
         rhs_language,
         witnesses_checked: stats.0,
         max_witness_size: stats.1,
+        hom,
     })
 }
 
@@ -893,6 +910,7 @@ fn anytime_guarded(
     cfg: &ContainmentConfig,
     src: &mut dyn RewriteSource,
     stats: &mut (usize, usize),
+    hom: &mut HomStats,
 ) -> ContainmentResult {
     if lhs_language == OmqLanguage::Guarded {
         let supplied = cfg.lhs_encoding.clone();
@@ -913,7 +931,7 @@ fn anytime_guarded(
             return ContainmentResult::Contained;
         }
     }
-    let rhs = RhsChecker::build(q2, rhs_language, None, voc, cfg, src);
+    let rhs = RhsChecker::build(q2, rhs_language, None, voc, cfg, src, hom);
     let mut tested = 0usize;
     for &budget in &cfg.anytime_budgets {
         if cfg.budget.expired() {
@@ -936,7 +954,7 @@ fn anytime_guarded(
         // Only test disjuncts not covered in earlier (smaller) rounds.
         let fresh: Vec<Cq> = ucq.disjuncts.iter().skip(tested).cloned().collect();
         tested = ucq.disjuncts.len().max(tested);
-        match check_disjuncts(&fresh, &rhs, q2, voc, cfg, stats) {
+        match check_disjuncts(&fresh, &rhs, q2, voc, cfg, stats, hom) {
             Ok(Some(w)) => return ContainmentResult::NotContained(Box::new(w)),
             Ok(None) => {
                 if complete {

@@ -13,7 +13,7 @@ use std::collections::HashSet;
 
 use omq_chase::chase::{chase, stratified_chase, ChaseConfig};
 use omq_chase::eval::{eval_ucq, is_answer_ucq};
-use omq_chase::Budget;
+use omq_chase::{Budget, HomStats};
 use omq_guarded::{guarded_certain_answers, Completeness, GuardedConfig};
 use omq_model::{ConstId, Instance, Omq, Vocabulary};
 use omq_rewrite::{DirectRewrite, RewriteSource, XRewriteConfig};
@@ -180,7 +180,7 @@ pub fn is_certain_answer(
     // seeded plan execution per disjunct (exact in both directions), instead
     // of enumerating the full answer set just to probe one tuple.
     if detect_language(omq) == OmqLanguage::Empty {
-        return if is_answer_ucq(&omq.query, db, tuple) {
+        return if is_answer_ucq(&omq.query, db, tuple, &mut HomStats::default()) {
             Trool::True
         } else {
             Trool::False

@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a relation symbol (predicate).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -122,6 +123,9 @@ impl FromIterator<PredId> for Schema {
     }
 }
 
+/// One symbol kind's names in one layer of a [`Vocabulary`]. Ids are
+/// global: an overlay's ids continue its base's numbering, so `by_name`
+/// maps straight to the id every caller sees.
 #[derive(Clone, Debug, Default)]
 struct Interner {
     names: Vec<String>,
@@ -129,37 +133,72 @@ struct Interner {
 }
 
 impl Interner {
-    fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&i) = self.by_name.get(name) {
-            return i;
+    /// Interns `name` in this overlay on `base`: an existing id from either
+    /// layer, or the next id after both.
+    fn intern(&mut self, base: &Interner, name: &str) -> u32 {
+        match self.find(base, name) {
+            Some(i) => i,
+            None => self.push(base, name.to_owned()),
         }
-        let i = self.names.len() as u32;
-        self.names.push(name.to_owned());
-        self.by_name.insert(name.to_owned(), i);
-        i
     }
 
-    fn fresh(&mut self, prefix: &str) -> u32 {
-        let mut n = self.names.len();
+    /// Interns `{prefix}{n}` for the least `n ≥` the symbol count whose name
+    /// neither layer holds yet.
+    fn fresh(&mut self, base: &Interner, prefix: &str) -> u32 {
+        let mut n = base.len() + self.len();
         loop {
             let cand = format!("{prefix}{n}");
-            if !self.by_name.contains_key(&cand) {
-                return self.intern(&cand);
+            if self.find(base, &cand).is_none() {
+                return self.push(base, cand);
             }
             n += 1;
         }
     }
 
-    fn get(&self, name: &str) -> Option<u32> {
-        self.by_name.get(name).copied()
+    fn push(&mut self, base: &Interner, name: String) -> u32 {
+        let i = (base.len() + self.len()) as u32;
+        self.by_name.insert(name.clone(), i);
+        self.names.push(name);
+        i
     }
 
-    fn name(&self, i: u32) -> &str {
-        &self.names[i as usize]
+    /// The id of `name` in this overlay on `base`, if either layer has it.
+    fn find(&self, base: &Interner, name: &str) -> Option<u32> {
+        let get = |layer: &Interner| layer.by_name.get(name).copied();
+        get(base).or_else(|| get(self))
+    }
+
+    /// The name of `i`, which lives in this overlay when it is past `base`.
+    fn name<'a>(&'a self, base: &'a Interner, i: u32) -> &'a str {
+        match (i as usize).checked_sub(base.len()) {
+            None => &base.names[i as usize],
+            Some(j) => &self.names[j],
+        }
     }
 
     fn len(&self) -> usize {
         self.names.len()
+    }
+
+    fn append(&mut self, own: Interner) {
+        self.names.extend(own.names);
+        self.by_name.extend(own.by_name);
+    }
+}
+
+/// One layer of a [`Vocabulary`]: the shared frozen base, or a vocabulary's
+/// own overlay on it.
+#[derive(Clone, Debug, Default)]
+struct Layer {
+    preds: Interner,
+    arities: Vec<usize>,
+    consts: Interner,
+    vars: Interner,
+}
+
+impl Layer {
+    fn is_empty(&self) -> bool {
+        self.preds.len() + self.consts.len() + self.vars.len() == 0
     }
 }
 
@@ -168,12 +207,18 @@ impl Interner {
 /// Owns the names and arities of predicates and the names of constants and
 /// variables. Nulls are anonymous — they are only ever invented by the chase
 /// and carry no name beyond their id.
+///
+/// A vocabulary is a frozen base behind an [`Arc`] plus a small append-only
+/// overlay of the symbols interned since the last [`Vocabulary::fold`].
+/// Overlay ids continue the base's numbering and every lookup consults
+/// both layers, so ids, names and interning order are exactly those of one
+/// flat table. Cloning copies only the overlay: a clone of a freshly folded
+/// vocabulary (a registry's, say) is one reference-count bump however many
+/// symbols it holds, and clones never observe each other's later interning.
 #[derive(Clone, Debug, Default)]
 pub struct Vocabulary {
-    preds: Interner,
-    arities: Vec<usize>,
-    consts: Interner,
-    vars: Interner,
+    base: Arc<Layer>,
+    own: Layer,
     next_null: u32,
 }
 
@@ -183,105 +228,133 @@ impl Vocabulary {
         Vocabulary::default()
     }
 
+    /// Moves this vocabulary's overlay into its base, so that later clones
+    /// share those symbols instead of copying them. Ids and names do not
+    /// change. Appends in place when no clone shares the base; otherwise
+    /// this vocabulary takes a private copy of the base first, and existing
+    /// clones keep the base they had.
+    pub fn fold(&mut self) {
+        if self.own.is_empty() {
+            return;
+        }
+        let own = std::mem::take(&mut self.own);
+        let base = Arc::make_mut(&mut self.base);
+        base.preds.append(own.preds);
+        base.arities.extend(own.arities);
+        base.consts.append(own.consts);
+        base.vars.append(own.vars);
+    }
+
+    /// Do `self` and `other` share one frozen base (one was cloned from
+    /// the other, and neither has folded a new base since)?
+    pub fn shares_base(&self, other: &Vocabulary) -> bool {
+        Arc::ptr_eq(&self.base, &other.base)
+    }
+
     /// Interns a predicate with the given arity.
     ///
     /// # Panics
     /// Panics if the predicate was already interned with a different arity;
     /// arity mismatches are always programming errors in this library.
     pub fn pred(&mut self, name: &str, arity: usize) -> PredId {
-        let i = self.preds.intern(name);
-        if (i as usize) == self.arities.len() {
-            self.arities.push(arity);
+        let p = PredId(self.own.preds.intern(&self.base.preds, name));
+        if self.own.arities.len() < self.own.preds.len() {
+            // Newly interned: its name is the overlay's last.
+            self.own.arities.push(arity);
         } else {
             assert_eq!(
-                self.arities[i as usize], arity,
+                self.arity(p),
+                arity,
                 "predicate {name} re-interned with different arity"
             );
         }
-        PredId(i)
+        p
     }
 
     /// A fresh predicate whose name starts with `prefix`.
     pub fn fresh_pred(&mut self, prefix: &str, arity: usize) -> PredId {
-        let i = self.preds.fresh(prefix);
-        debug_assert_eq!(i as usize, self.arities.len());
-        self.arities.push(arity);
+        let i = self.own.preds.fresh(&self.base.preds, prefix);
+        self.own.arities.push(arity);
         PredId(i)
     }
 
     /// Looks up a predicate by name.
     pub fn pred_id(&self, name: &str) -> Option<PredId> {
-        self.preds.get(name).map(PredId)
+        self.own.preds.find(&self.base.preds, name).map(PredId)
     }
 
     /// The arity of `p`.
     pub fn arity(&self, p: PredId) -> usize {
-        self.arities[p.0 as usize]
+        let base = &self.base.arities;
+        match (p.0 as usize).checked_sub(base.len()) {
+            None => base[p.0 as usize],
+            Some(j) => self.own.arities[j],
+        }
     }
 
     /// The name of `p`.
     pub fn pred_name(&self, p: PredId) -> &str {
-        self.preds.name(p.0)
+        self.own.preds.name(&self.base.preds, p.0)
     }
 
     /// All interned predicates.
     pub fn all_preds(&self) -> impl Iterator<Item = PredId> + '_ {
-        (0..self.preds.len() as u32).map(PredId)
+        (0..self.num_preds() as u32).map(PredId)
     }
 
     /// Number of interned predicates.
     pub fn num_preds(&self) -> usize {
-        self.preds.len()
+        self.base.preds.len() + self.own.preds.len()
     }
 
     /// Interns a constant.
     pub fn constant(&mut self, name: &str) -> ConstId {
-        ConstId(self.consts.intern(name))
+        ConstId(self.own.consts.intern(&self.base.consts, name))
     }
 
     /// A fresh constant whose name starts with `prefix`.
     pub fn fresh_const(&mut self, prefix: &str) -> ConstId {
-        ConstId(self.consts.fresh(prefix))
+        ConstId(self.own.consts.fresh(&self.base.consts, prefix))
     }
 
     /// Looks up a constant by name.
     pub fn const_id(&self, name: &str) -> Option<ConstId> {
-        self.consts.get(name).map(ConstId)
+        self.own.consts.find(&self.base.consts, name).map(ConstId)
     }
 
     /// The name of constant `c`.
     pub fn const_name(&self, c: ConstId) -> &str {
-        self.consts.name(c.0)
+        self.own.consts.name(&self.base.consts, c.0)
     }
 
     /// Number of interned constants.
     pub fn num_consts(&self) -> usize {
-        self.consts.len()
+        self.base.consts.len() + self.own.consts.len()
     }
 
     /// Interns a variable.
     pub fn var(&mut self, name: &str) -> VarId {
-        VarId(self.vars.intern(name))
+        VarId(self.own.vars.intern(&self.base.vars, name))
     }
 
     /// A fresh variable whose name starts with `prefix`.
     pub fn fresh_var(&mut self, prefix: &str) -> VarId {
-        VarId(self.vars.fresh(prefix))
+        VarId(self.own.vars.fresh(&self.base.vars, prefix))
     }
 
     /// Looks up a variable by name.
     pub fn var_id(&self, name: &str) -> Option<VarId> {
-        self.vars.get(name).map(VarId)
+        self.own.vars.find(&self.base.vars, name).map(VarId)
     }
 
     /// The name of variable `v`.
     pub fn var_name(&self, v: VarId) -> &str {
-        self.vars.name(v.0)
+        self.own.vars.name(&self.base.vars, v.0)
     }
 
     /// Number of interned variables.
     pub fn num_vars(&self) -> usize {
-        self.vars.len()
+        self.base.vars.len() + self.own.vars.len()
     }
 
     /// A fresh labeled null (used by the chase).

@@ -64,7 +64,7 @@ use crate::json::Json;
 use crate::key::{OmqKey, RewriteCfgKey};
 use crate::protocol::{Op, Request, Response};
 use crate::reactor::RuntimeStats;
-use crate::registry::Registry;
+use crate::registry::{Registered, Registry};
 use crate::stats;
 use crate::tier::{DiskTier, DiskTierStats, PortableArtifact};
 
@@ -78,6 +78,23 @@ enum VerdictOp {
 }
 
 type VerdictKey = (VerdictOp, OmqKey, OmqKey);
+
+/// A `contains`/`equivalent` verdict-cache lookup: the cached response
+/// fields, or everything the solver job needs.
+enum Lookup {
+    Hit(Vec<(String, Json)>),
+    Miss(Box<VerdictJob>),
+}
+
+/// A verdict-cache miss: the two registrations, the verdict key, whether
+/// either side is an alias, and the job's vocabulary snapshot.
+struct VerdictJob {
+    l: Arc<Registered>,
+    r: Arc<Registered>,
+    vkey: VerdictKey,
+    alias: bool,
+    voc: Vocabulary,
+}
 
 /// Engine construction knobs.
 #[derive(Clone, Debug)]
@@ -339,8 +356,8 @@ impl<K: Eq + std::hash::Hash + Clone, V: Clone> SingleFlight<K, V> {
 }
 
 /// One registration name's versioned store plus the vocabulary its facts
-/// and maintenance chases intern into (a registry-snapshot clone taken at
-/// store creation, grown monotonically ever since).
+/// and maintenance chases intern into (a registry snapshot taken at store
+/// creation, whose overlay has grown monotonically ever since).
 struct NamedStore {
     voc: Vocabulary,
     store: MaintainedStore,
@@ -366,6 +383,8 @@ pub struct Engine {
     compiling: SingleFlight<OmqKey, Option<EncodingArtifact>>,
     /// Requests answered by joining an in-flight computation.
     coalesced_hits: AtomicU64,
+    /// Registry vocabulary snapshots taken (see [`Engine::snapshot`]).
+    snapshots: AtomicU64,
     /// Underlying solver invocations for `contains`/`equivalent` (the
     /// denominator the coalescing tests pin: a burst of identical requests
     /// must show exactly one).
@@ -410,6 +429,7 @@ impl Engine {
             inflight: SingleFlight::new(),
             compiling: SingleFlight::new(),
             coalesced_hits: AtomicU64::new(0),
+            snapshots: AtomicU64::new(0),
             verdict_computations: AtomicU64::new(0),
             stores: Mutex::new(HashMap::new()),
             trace_sink: None,
@@ -448,6 +468,13 @@ impl Engine {
     /// The flight recorder this engine offers span trees to.
     pub fn flight(&self) -> &Arc<FlightRecorder> {
         &self.flight
+    }
+
+    /// Registry vocabulary snapshots taken so far: one per solver job that
+    /// missed the verdict cache, one-shot `evaluate`, `explain`, and store
+    /// creation. A verdict-cache hit takes none.
+    pub fn vocabulary_snapshots(&self) -> u64 {
+        self.snapshots.load(Ordering::Relaxed)
     }
 
     /// `(coalesced_hits, verdict_computations)` — how many requests joined
@@ -905,18 +932,45 @@ impl Engine {
         trace_dump_fields(&self.flight)
     }
 
-    /// Clones everything a solver job needs out of the registry, holding the
-    /// read lock only for the duration of the clone.
-    fn snapshot(
-        &self,
-        names: &[&str],
-    ) -> Result<(Vec<crate::registry::Registered>, Vocabulary), ServeError> {
+    /// The registry's vocabulary for one solver job: an overlay on the
+    /// registry's frozen base, so one reference-count bump whatever the
+    /// registry's size (see `crate::registry`).
+    fn snapshot(&self, reg: &Registry) -> Vocabulary {
+        self.snapshots.fetch_add(1, Ordering::Relaxed);
+        reg.vocabulary().clone()
+    }
+
+    /// The named registrations and a vocabulary snapshot, read under one
+    /// registry lock.
+    fn job(&self, names: &[&str]) -> Result<(Vec<Arc<Registered>>, Vocabulary), ServeError> {
         let reg = self.registry.read().unwrap();
-        let mut regs = Vec::with_capacity(names.len());
-        for name in names {
-            regs.push(reg.get(name)?.clone());
+        let regs = names
+            .iter()
+            .map(|name| reg.get(name).cloned())
+            .collect::<Result<_, _>>()?;
+        Ok((regs, self.snapshot(&reg)))
+    }
+
+    /// Looks the verdict of `op` on `(lhs, rhs)` up under the registry read
+    /// lock, *before* any vocabulary snapshot: the key needs only the two
+    /// registrations' canonical keys, so a hit copies nothing whose size
+    /// grows with the registry. A miss takes the snapshot under the same
+    /// lock.
+    fn lookup_verdict(&self, op: VerdictOp, lhs: &str, rhs: &str) -> Result<Lookup, ServeError> {
+        let reg = self.registry.read().unwrap();
+        let (l, r) = (reg.get(lhs)?, reg.get(rhs)?);
+        let alias = l.alias_of.is_some() || r.alias_of.is_some();
+        let vkey = (op, l.key.clone(), r.key.clone());
+        if let Some(fields) = self.verdicts.lock().unwrap().get_tagged(&vkey, alias) {
+            return Ok(Lookup::Hit(fields));
         }
-        Ok((regs, reg.vocabulary().clone()))
+        Ok(Lookup::Miss(Box::new(VerdictJob {
+            l: Arc::clone(l),
+            r: Arc::clone(r),
+            vkey,
+            alias,
+            voc: self.snapshot(&reg),
+        })))
     }
 
     /// Fetches (or compiles and caches) the encoding artifact of a guarded
@@ -929,7 +983,7 @@ impl Engine {
     /// key; a follower that takes the leader's artifact counts as a hit.
     fn guarded_encoding(
         &self,
-        reg: &crate::registry::Registered,
+        reg: &Registered,
         voc: &Vocabulary,
         budget: &Budget,
         coalesce: bool,
@@ -985,18 +1039,19 @@ impl Engine {
         coalesce: bool,
         trace_id: u64,
     ) -> (Result<Vec<(String, Json)>, ServeError>, bool) {
-        let (regs, mut voc) = match self.snapshot(&[lhs, rhs]) {
-            Ok(s) => s,
+        let VerdictJob {
+            l,
+            r,
+            vkey,
+            alias,
+            mut voc,
+        } = match self.lookup_verdict(VerdictOp::Contains, lhs, rhs) {
+            Ok(Lookup::Miss(job)) => *job,
+            Ok(Lookup::Hit(fields)) => return (Ok(fields), false),
             Err(e) => return (Err(e), false),
         };
-        let (l, r) = (&regs[0], &regs[1]);
-        let alias = l.alias_of.is_some() || r.alias_of.is_some();
-        let vkey = (VerdictOp::Contains, l.key.clone(), r.key.clone());
-        if let Some(fields) = self.verdicts.lock().unwrap().get_tagged(&vkey, alias) {
-            return (Ok(fields), false);
-        }
         self.coalesced(&vkey.clone(), coalesce, trace_id, || {
-            let encoding = self.guarded_encoding(l, &voc, budget, coalesce, trace_id);
+            let encoding = self.guarded_encoding(&l, &voc, budget, coalesce, trace_id);
             let mut cfg = self.containment_cfg(budget);
             // Hand the cached (or freshly compiled) lhs artifact to the
             // anytime ladder: its guarded rung reuses the
@@ -1032,16 +1087,17 @@ impl Engine {
         coalesce: bool,
         trace_id: u64,
     ) -> (Result<Vec<(String, Json)>, ServeError>, bool) {
-        let (regs, mut voc) = match self.snapshot(&[lhs, rhs]) {
-            Ok(s) => s,
+        let VerdictJob {
+            l,
+            r,
+            vkey,
+            alias,
+            mut voc,
+        } = match self.lookup_verdict(VerdictOp::Equivalent, lhs, rhs) {
+            Ok(Lookup::Miss(job)) => *job,
+            Ok(Lookup::Hit(fields)) => return (Ok(fields), false),
             Err(e) => return (Err(e), false),
         };
-        let (l, r) = (&regs[0], &regs[1]);
-        let alias = l.alias_of.is_some() || r.alias_of.is_some();
-        let vkey = (VerdictOp::Equivalent, l.key.clone(), r.key.clone());
-        if let Some(fields) = self.verdicts.lock().unwrap().get_tagged(&vkey, alias) {
-            return (Ok(fields), false);
-        }
         self.coalesced(&vkey.clone(), coalesce, trace_id, || {
             let cfg = self.containment_cfg(budget);
             let mut src = CachingSource {
@@ -1080,24 +1136,26 @@ impl Engine {
         })
     }
 
-    /// Runs `f` on the named OMQ's store entry, creating it (with a fresh
-    /// registry-snapshot vocabulary) on first touch. The stores lock is held
-    /// for the duration of `f` — store ops are batch barriers, so `f` never
-    /// blocks a parallel fan-out.
+    /// Runs `f` on the named OMQ's store entry, creating it (with a
+    /// registry vocabulary snapshot) on first touch; later touches take no
+    /// snapshot. The stores lock is held for the duration of `f` — store
+    /// ops are batch barriers, so `f` never blocks a parallel fan-out.
     fn with_store<T>(
         &self,
         name: &str,
-        f: impl FnOnce(&mut NamedStore, &crate::registry::Registered) -> T,
+        f: impl FnOnce(&mut NamedStore, &Registered) -> T,
     ) -> Result<T, ServeError> {
-        let (regs, voc) = self.snapshot(&[name])?;
+        let reg = Arc::clone(self.registry.read().unwrap().get(name)?);
         let mut stores = self.stores.lock().unwrap();
-        let entry = stores.entry(name.to_owned()).or_insert_with(|| NamedStore {
-            voc,
-            store: MaintainedStore::new(StoreConfig {
+        if !stores.contains_key(name) {
+            let voc = self.snapshot(&self.registry.read().unwrap());
+            let store = MaintainedStore::new(StoreConfig {
                 compact_threshold: self.cfg.store_compact_threshold,
-            }),
-        });
-        Ok(f(entry, &regs[0]))
+            });
+            stores.insert(name.to_owned(), NamedStore { voc, store });
+        }
+        let entry = stores.get_mut(name).expect("inserted above");
+        Ok(f(entry, &reg))
     }
 
     /// Store + maintenance counters summed across every named store, and
@@ -1134,7 +1192,7 @@ impl Engine {
         if facts.is_empty() {
             return self.op_evaluate_store(name, at, budget);
         }
-        let (regs, mut voc) = match self.snapshot(&[name]) {
+        let (regs, mut voc) = match self.job(&[name]) {
             Ok(s) => s,
             Err(e) => return (Err(e), false),
         };
@@ -1199,22 +1257,28 @@ impl Engine {
                 entry
                     .store
                     .evaluate(at, &reg.omq.query, &reg.omq.sigma, &mut entry.voc, &cfg);
-            (eval, reg.language, entry.voc.clone())
+            // Resolve answer names here, against the store's vocabulary,
+            // rather than copying its overlay out.
+            let voc = &entry.voc;
+            let eval = eval.map(|ev| {
+                let mut answers: Vec<Vec<String>> = ev
+                    .answers
+                    .iter()
+                    .map(|t| t.iter().map(|&c| voc.const_name(c).to_owned()).collect())
+                    .collect();
+                answers.sort();
+                (answers, ev.complete, ev.version)
+            });
+            (eval, reg.language)
         });
-        let (eval, language, voc) = match res {
+        let (eval, language) = match res {
             Ok(t) => t,
             Err(e) => return (Err(e), false),
         };
-        let eval = match eval {
+        let (answers, complete, version) = match eval {
             Ok(ev) => ev,
             Err(e) => return (Err(ServeError::StaleVersion(e.to_string())), false),
         };
-        let mut answers: Vec<Vec<String>> = eval
-            .answers
-            .iter()
-            .map(|t| t.iter().map(|&c| voc.const_name(c).to_owned()).collect())
-            .collect();
-        answers.sort();
         let fields = vec![
             (
                 "answers".to_owned(),
@@ -1228,16 +1292,16 @@ impl Engine {
             ("count".to_owned(), Json::num(answers.len())),
             (
                 "guarantee".to_owned(),
-                Json::str(if eval.complete {
+                Json::str(if complete {
                     "exact"
                 } else {
                     "sound_lower_bound"
                 }),
             ),
             ("language".to_owned(), Json::str(language.to_string())),
-            ("version".to_owned(), Json::num(eval.version as usize)),
+            ("version".to_owned(), Json::num(version as usize)),
         ];
-        (Ok(fields), !eval.complete && budget.expired())
+        (Ok(fields), !complete && budget.expired())
     }
 
     /// `assert` / `retract`: parses the ground facts into the store's own
@@ -1328,7 +1392,7 @@ impl Engine {
         rhs: &str,
         budget: &Budget,
     ) -> (Result<Vec<(String, Json)>, ServeError>, bool) {
-        let (regs, mut voc) = match self.snapshot(&[lhs, rhs]) {
+        let (regs, mut voc) = match self.job(&[lhs, rhs]) {
             Ok(s) => s,
             Err(e) => return (Err(e), false),
         };

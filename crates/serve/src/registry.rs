@@ -4,13 +4,22 @@
 //!
 //! One vocabulary per registry is what makes cross-OMQ requests
 //! (containment between two registrations) well-posed — both sides speak
-//! the same `PredId`s — and what makes per-request vocabulary clones cheap
-//! and deterministic: a request job clones the registry vocabulary, interns
-//! whatever fresh symbols it needs (frozen constants, database constants),
-//! and throws the clone away, so concurrent requests can never observe each
-//! other's interning.
+//! the same `PredId`s. The registry keeps that vocabulary folded: all of
+//! its symbols sit in the frozen base that every clone shares (see
+//! [`Vocabulary`]), so a request's snapshot is one reference-count bump,
+//! whatever the registry's size. The request interns whatever fresh
+//! symbols it needs (frozen constants, database constants) into its own
+//! overlay and drops it at the end, so concurrent requests can never
+//! observe each other's interning. Registrations are shared the same way,
+//! as `Arc<Registered>`.
+//!
+//! `register` parses into an overlay on the shared base and folds it in
+//! only on success, so a parse error leaves no symbols behind. The fold
+//! appends in place while no snapshot is alive; a live snapshot keeps the
+//! base it was taken from, and the fold copies the base once.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use omq_core::{detect_language, OmqLanguage};
 use omq_model::{parse_query, parse_tgd, Omq, Schema, Tgd, Ucq, Vocabulary};
@@ -48,7 +57,7 @@ pub struct RegisterInfo {
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
     voc: Vocabulary,
-    omqs: HashMap<String, Registered>,
+    omqs: HashMap<String, Arc<Registered>>,
     /// First registered name per canonical key (alias detection).
     by_key: HashMap<OmqKey, String>,
 }
@@ -58,7 +67,7 @@ impl Registry {
         Registry::default()
     }
 
-    /// The shared vocabulary (request jobs clone it).
+    /// The shared vocabulary (request jobs clone it; see the module docs).
     pub fn vocabulary(&self) -> &Vocabulary {
         &self.voc
     }
@@ -79,7 +88,7 @@ impl Registry {
     }
 
     /// Looks a registration up by name.
-    pub fn get(&self, name: &str) -> Result<&Registered, ServeError> {
+    pub fn get(&self, name: &str) -> Result<&Arc<Registered>, ServeError> {
         self.omqs
             .get(name)
             .ok_or_else(|| ServeError::UnknownName(name.to_owned()))
@@ -98,8 +107,8 @@ impl Registry {
         schema: &[&str],
         query_name: &str,
     ) -> Result<RegisterInfo, ServeError> {
-        // Parse into a scratch clone first: a parse error must not leave
-        // half a program's symbols interned in the shared vocabulary.
+        // Parse into an overlay on the shared base: a parse error drops it,
+        // so no half-parsed program's symbols reach the registry.
         let mut voc = self.voc.clone();
         let (tgds, queries) = parse_program_into(&mut voc, program)?;
         let query: Ucq = queries
@@ -133,19 +142,21 @@ impl Registry {
             .get(&key)
             .filter(|first| first.as_str() != name)
             .cloned();
-        // Commit: adopt the scratch vocabulary and store the registration.
+        // Commit: adopt the overlay and fold it into the base (in place once
+        // the old handle is gone, unless a snapshot still holds the base).
         self.voc = voc;
+        self.voc.fold();
         self.by_key
             .entry(key.clone())
             .or_insert_with(|| name.to_owned());
         self.omqs.insert(
             name.to_owned(),
-            Registered {
+            Arc::new(Registered {
                 omq,
                 key,
                 language,
                 alias_of: alias_of.clone(),
-            },
+            }),
         );
         Ok(RegisterInfo {
             digest,
@@ -243,11 +254,34 @@ mod tests {
     #[test]
     fn parse_error_leaves_registry_untouched() {
         let mut reg = Registry::new();
+        reg.register("ex1", PROG, &["P", "T"], "q").unwrap();
         let before = reg.vocabulary().num_preds();
-        let err = reg.register("bad", "Zork(X) -> Quux(X\n", &["Zork"], "q");
+        // A request's snapshot, alive across the failed registration.
+        let snap = reg.vocabulary().clone();
+        assert!(snap.shares_base(reg.vocabulary()));
+        let err = reg.register(
+            "bad",
+            "Zork(X) -> Quux(X)\nQuux(X) -> Blorp(X\n",
+            &["Zork"],
+            "q",
+        );
         assert!(matches!(err.unwrap_err(), ServeError::Parse(_)));
         assert_eq!(reg.vocabulary().num_preds(), before);
-        assert!(reg.is_empty());
+        assert_eq!(reg.vocabulary().pred_id("Zork"), None);
+        assert_eq!(reg.len(), 1);
+        // The failed parse neither grew nor replaced the shared base.
+        assert!(snap.shares_base(reg.vocabulary()));
+        assert_eq!(snap.num_preds(), before);
+        assert_eq!(snap.pred_id("Quux"), None);
+        let names: Vec<&str> = snap.all_preds().map(|p| snap.pred_name(p)).collect();
+        assert_eq!(names, ["P", "R", "T"]);
+        // A later success folds a new base; the snapshot keeps its own.
+        reg.register("ok", "Zork(X) -> P(X)\nq(X) :- Zork(X)\n", &["Zork"], "q")
+            .unwrap();
+        assert!(!snap.shares_base(reg.vocabulary()));
+        assert_eq!(reg.vocabulary().pred_id("Zork").map(|p| p.0), Some(3));
+        assert_eq!(snap.pred_id("Zork"), None);
+        assert_eq!(snap.num_preds(), before);
     }
 
     #[test]

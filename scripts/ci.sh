@@ -170,6 +170,33 @@ HOSTILE_OUT=$( { head -c 200000 /dev/zero | tr '\0' '['
     exit 1
 }
 
+echo "==> serve rollback smoke (a failed register leaves no symbols behind)"
+# The bad program interns Zork, Quux and the constants a, b before its parse
+# error. Had any of them reached the registry vocabulary, the frozen
+# witness constants of the later contains would be numbered past them
+# (f2, f3 instead of f0, f1), so its bytes must equal those of the same
+# transcript without the bad line.
+ROLLBACK_BASE='{"id":1,"op":"register","name":"base","program":"P(X) -> exists Y . R(X,Y)\nR(X,Y) -> P(Y)\nq(X) :- R(X,Y), P(Y)","schema":["P","R"],"query":"q"}'
+ROLLBACK_BAD='{"id":2,"op":"register","name":"bad","program":"Zork(X,a) -> Quux(X,b)\nQuux(X,Y) -> Blorp(X","schema":["Zork"],"query":"q"}'
+ROLLBACK_TAIL=(
+  '{"id":3,"op":"register","name":"z","program":"Zork(X,Y) -> exists Z . Quux(X,Z)\nq(X) :- Quux(X,Y)","schema":["Zork"],"query":"q"}'
+  '{"id":4,"op":"contains","lhs":"z","rhs":"base"}'
+)
+ROLLBACK_OUT=$(printf '%s\n' "$ROLLBACK_BASE" "$ROLLBACK_BAD" "${ROLLBACK_TAIL[@]}" \
+    | ./target/release/omq-serve --threads 1)
+ROLLBACK_REF=$(printf '%s\n' "$ROLLBACK_BASE" "${ROLLBACK_TAIL[@]}" \
+    | ./target/release/omq-serve --threads 1)
+echo "$ROLLBACK_OUT" | sed -n 2p | jq -e '.ok == false and .error.kind == "parse"' >/dev/null || {
+    echo "serve rollback smoke: the bad register got no parse error: $ROLLBACK_OUT" >&2
+    exit 1
+}
+[ "$(echo "$ROLLBACK_OUT" | sed -n 4p)" = "$(echo "$ROLLBACK_REF" | sed -n 3p)" ] || {
+    echo "serve rollback smoke: contains after a failed register differs" >&2
+    echo "$ROLLBACK_OUT" | sed -n 4p >&2
+    echo "$ROLLBACK_REF" | sed -n 3p >&2
+    exit 1
+}
+
 echo "==> serve store smoke (assert/retract/snapshot/evaluate-at + compaction)"
 # threshold 1 compacts after every unpinned mutation, so the smoke proves
 # (a) compaction really runs, (b) the snapshot pin keeps version 1
