@@ -23,7 +23,7 @@ pub fn is_unsatisfiable(omq: &Omq, voc: &mut Vocabulary, cfg: &EvalConfig) -> Tr
         Trool::False
     } else {
         match out.guarantee {
-            EvalGuarantee::Exact | EvalGuarantee::Stabilized => Trool::True,
+            EvalGuarantee::Exact => Trool::True,
             EvalGuarantee::SoundLowerBound => Trool::Unknown,
         }
     }

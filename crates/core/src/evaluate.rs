@@ -6,7 +6,7 @@
 //! | `∅` | direct UCQ evaluation | exact |
 //! | `NR` | stratified chase (Prop. 3) | exact |
 //! | `L`, `S` | UCQ rewriting (Props. 2, 4 via Def. 1) | exact |
-//! | `G` | stabilizing guarded chase (Prop. 1) | exact / stabilized |
+//! | `G` | stabilizing guarded chase (Prop. 1) | exact if the chase terminates, else sound lower bound |
 //! | `F`, general | budgeted chase | exact if it terminates, else sound lower bound |
 
 use std::collections::HashSet;
@@ -48,10 +48,10 @@ impl EvalConfig {
 pub enum EvalGuarantee {
     /// The answer set equals `Q(D)`.
     Exact,
-    /// Complete under the guarded-chase regularity property (see
-    /// `omq_guarded::guarded_eval`).
-    Stabilized,
-    /// Budgets ran out: the answers are sound but possibly incomplete.
+    /// The answers are sound but possibly incomplete: a budget ran out, or
+    /// the guarded engine stopped on its stabilization heuristic (see
+    /// `omq_guarded::Completeness::Stabilized`), after which a match can
+    /// still appear deeper.
     SoundLowerBound,
 }
 
@@ -133,8 +133,9 @@ pub fn evaluate_in_language(
                 answers: r.answers,
                 guarantee: match r.completeness {
                     Completeness::Exact => EvalGuarantee::Exact,
-                    Completeness::Stabilized => EvalGuarantee::Stabilized,
-                    Completeness::LowerBound => EvalGuarantee::SoundLowerBound,
+                    Completeness::Stabilized | Completeness::LowerBound => {
+                        EvalGuarantee::SoundLowerBound
+                    }
                 },
                 language,
             }
@@ -167,8 +168,8 @@ pub enum Trool {
 
 /// Is `tuple` a certain answer of `Q` over `D`?
 ///
-/// `True` is always sound; `False` is sound when the evaluation guarantee
-/// is `Exact` or `Stabilized`; otherwise `Unknown`.
+/// `True` is always sound; `False` only when the evaluation guarantee is
+/// `Exact`; otherwise `Unknown`.
 pub fn is_certain_answer(
     omq: &Omq,
     db: &Instance,
@@ -191,7 +192,7 @@ pub fn is_certain_answer(
         Trool::True
     } else {
         match out.guarantee {
-            EvalGuarantee::Exact | EvalGuarantee::Stabilized => Trool::False,
+            EvalGuarantee::Exact => Trool::False,
             EvalGuarantee::SoundLowerBound => Trool::Unknown,
         }
     }
@@ -262,7 +263,9 @@ mod tests {
         let d = db(&mut voc, &["G(a,b,c)", "R(a,b)"]);
         let out = evaluate(&q, &d, &mut voc, &EvalConfig::default());
         assert_eq!(out.language, OmqLanguage::Guarded);
-        assert_ne!(out.guarantee, EvalGuarantee::SoundLowerBound);
+        // The tree-expanding chase never terminates, so the run ends on the
+        // stabilization heuristic, which proves nothing beyond soundness.
+        assert_eq!(out.guarantee, EvalGuarantee::SoundLowerBound);
         assert_eq!(out.answers.len(), 1);
     }
 

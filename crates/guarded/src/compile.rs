@@ -125,10 +125,11 @@ pub fn compile_encoding(
     let nonempty = nta
         .is_empty_with(cfg.threads, &cfg.budget)
         .map(|empty| !empty);
-    // Critical-instance satisfiability (see `EncodingArtifact` docs): the
-    // guarded chase of `D_crit` stabilizes for guarded OMQs, so an empty
-    // answer set with an `Exact`/`Stabilized` guarantee certifies that the
-    // OMQ holds on *no* database.
+    // Critical-instance satisfiability (see `EncodingArtifact` docs): an
+    // empty answer set certifies that the OMQ holds on *no* database only
+    // when the guarded chase of `D_crit` terminated (`Exact`). A
+    // `Stabilized` run may have stopped before a deep match, so it decides
+    // nothing.
     let critical_satisfiable = if cfg.budget.expired() {
         // The guarded engine only polls the budget at round boundaries, so a
         // budget that is already spent could still "decide" a tiny critical
@@ -144,8 +145,8 @@ pub fn compile_encoding(
             Some(true)
         } else {
             match ans.completeness {
-                Completeness::Exact | Completeness::Stabilized => Some(false),
-                Completeness::LowerBound => None,
+                Completeness::Exact => Some(false),
+                Completeness::Stabilized | Completeness::LowerBound => None,
             }
         }
     };

@@ -53,8 +53,11 @@ impl Default for GuardedConfig {
 pub enum Completeness {
     /// The chase terminated: the answer equals `Q(D)`.
     Exact,
-    /// The atom-type set stabilized for the full window: complete under the
-    /// regularity property of the guarded chase.
+    /// The single-atom type set stopped changing for the full window. This
+    /// is a heuristic, not a proof: a match can first appear deeper (a
+    /// guarded 4-bit counter reaches `1111` on one null at depth 15, after
+    /// every atom type exists by depth 8), so the answer is only a sound
+    /// subset of `Q(D)`, like [`Completeness::LowerBound`].
     Stabilized,
     /// Budgets exhausted first: the answer is a sound subset of `Q(D)`.
     LowerBound,

@@ -21,6 +21,42 @@
 //! both keeps the [`Vocabulary`] deterministic and hoists the per-entry
 //! renaming of the old per-entry loop.
 //!
+//! **Selection over Datalog-defined predicates.** A predicate is
+//! *selectable* when it is outside the data schema and every tgd whose head
+//! has that predicate is full. An entry whose body holds an atom over a
+//! selectable predicate is expanded only on the *first* such atom: that atom
+//! alone is resolved against each tgd with its head predicate, and no other
+//! atom, no multi-atom set and no factorization is tried for the entry.
+//! Entries without a selectable atom expand as described above. This is the
+//! computation rule of SLD resolution, and it stays complete. Fix a chase
+//! sequence of `D` under `Σ`, take a match `h` of a query `q` into its
+//! result, and charge each body atom `α` with the step that created `h(α)`
+//! (0 for atoms of `D`). The selected atom `α` is not over the data schema,
+//! so `h(α)` was derived, and only a full tgd `σ` can have derived it, by a
+//! trigger `g` with `g(head(σ)) = h(α)`. Since `h ∪ g` unifies `α` with the
+//! renamed-apart `head(σ)`, it factors through their MGU, so the resolvent
+//! has a match that keeps every other atom's image and sends the body of
+//! `σ` to atoms created at strictly earlier steps. The multiset of steps
+//! decreases (as it does for the unselected steps, which resolve the atoms
+//! mapped to the latest-created image), so every match of `q` is
+//! eventually reached by an output disjunct that matches `D` itself. An
+//! entry whose selected atom has no defining tgd at all is unsatisfiable
+//! and yields no candidates.
+//!
+//! A query that still holds a selectable atom is never an output disjunct,
+//! so when no selectable predicate is recursive (the graph from each
+//! selectable head predicate to the selectable predicates of its bodies is
+//! acyclic) such candidates are deduplicated on their fingerprint with
+//! `cq_isomorphic` and are neither cored nor canonically labelled. Selection
+//! steps alone then terminate: each replaces a selectable atom by atoms of
+//! strictly lower rank in that graph or by unselectable ones, so the
+//! multiset of ranks decreases. Queries without a selectable atom, the ones
+//! the unselected steps expand, are cored as before, so the size bounds
+//! behind termination still hold for them. With a recursive selectable
+//! predicate every candidate is cored: under `P(x), R(x,y) → P(x)` the
+//! uncored resolvents `P(x), R(x,y1), …, R(x,yk)` never repeat, while their
+//! cores do.
+//!
 //! Queries are deduplicated modulo bijective variable renaming (`≃`): by
 //! default via canonical forms (`omq_chase::cq_canonical_form`, hash-map
 //! equality), with the PR 1 fingerprint + `cq_isomorphic` path available
@@ -49,7 +85,7 @@ use omq_chase::{
     cq_canonical_form, cq_core_budgeted_report, cq_isomorphic, runtime, Budget, CqCanonicalForm,
     HomStats, SubsumptionSieve,
 };
-use omq_model::{mgu_refs, Atom, Cq, Omq, Substitution, Term, Tgd, Ucq, VarId, Vocabulary};
+use omq_model::{mgu_refs, Atom, Cq, Omq, PredId, Substitution, Term, Tgd, Ucq, VarId, Vocabulary};
 
 /// Relabelings a canonical-labeling call may enumerate before giving up
 /// (product of color-class factorials, i.e. 7!): rewriting-generated queries
@@ -331,7 +367,8 @@ struct SlotFlags {
 /// only for queries that survive the cheap raw-form check — a duplicate
 /// candidate is usually rejected before ever being cored. Queries whose
 /// symmetry exceeds the labeling budget live in fingerprint `buckets` and
-/// are compared pairwise with `cq_isomorphic`; the fallback decision is
+/// are compared pairwise with `cq_isomorphic`, as are the uncored
+/// candidates the selection rule defers; both decisions are
 /// isomorphism-invariant, so the two sides never need cross-checking. In
 /// `FingerprintIso` mode everything goes through `buckets`.
 struct DedupIndex {
@@ -540,7 +577,8 @@ enum CandKey {
     /// (uncored unless `Candidate::finalized`); `None` when its symmetry
     /// exceeded the labeling budget.
     Raw(Option<CqCanonicalForm>),
-    /// Fingerprint strategy: the fingerprint of the already-cored candidate.
+    /// Fingerprint strategy, or a candidate the selection rule defers: the
+    /// fingerprint of the candidate as it will be stored.
     Fp(u64),
 }
 
@@ -589,9 +627,28 @@ impl Expansion {
     /// Normalizes a generated CQ (duplicate-atom removal; coring only when
     /// a budget forces it — otherwise coring is deferred to the merge side),
     /// applies the atom budget, and records it as a candidate.
-    fn consider(&mut self, q: Cq, kind: Label, cfg: &XRewriteConfig) {
+    ///
+    /// A candidate that still holds a selectable atom can never be an
+    /// output disjunct. When the selection rule defers such candidates, it
+    /// is keyed by its fingerprint and never cored or canonically labelled
+    /// (whether a query holds a selectable atom is isomorphism-invariant,
+    /// so its duplicates are all in the fingerprint buckets too).
+    fn consider(&mut self, q: Cq, kind: Label, selection: &Selection, cfg: &XRewriteConfig) {
         self.seen += 1;
         let mut q = dedup_atoms(q);
+        if selection.defer_selected
+            && selection.selected(&q).is_some()
+            && cfg.max_atoms.is_none_or(|m| q.body.len() <= m)
+        {
+            let key = CandKey::Fp(fingerprint(&q));
+            self.candidates.push(Candidate {
+                kind,
+                cq: q,
+                key,
+                finalized: true,
+            });
+            return;
+        }
         let mut finalized = !cfg.canonicalize;
         let core_here = |q: &Cq, exh: &mut usize| {
             let (core, exhausted) = cq_core_budgeted_report(q, CORE_BUDGET);
@@ -746,6 +803,7 @@ fn emit_rewriting(
     gamma: &Substitution,
     t: &Tgd,
     out: &mut Expansion,
+    selection: &Selection,
     cfg: &XRewriteConfig,
 ) {
     let mut body: Vec<Atom> = q
@@ -765,13 +823,93 @@ fn emit_rewriting(
         })
         .collect();
     if !body.is_empty() || head.is_empty() {
-        out.consider(Cq::new(head, body), Label::Rewriting, cfg);
+        out.consider(Cq::new(head, body), Label::Rewriting, selection, cfg);
+    }
+}
+
+/// The selection rule of one `xrewrite` call (see the module docs).
+struct Selection {
+    /// The predicates no entry may be expanded by selection on: the data
+    /// schema and the heads of non-full tgds. Every other predicate is
+    /// *selectable*.
+    unselectable: HashSet<PredId>,
+    /// No selectable predicate is recursive, so a candidate that still
+    /// holds a selectable atom is deduplicated on its fingerprint and never
+    /// cored or canonically labelled.
+    defer_selected: bool,
+}
+
+impl Selection {
+    fn new(omq: &Omq, sigma: &[Tgd]) -> Self {
+        let unselectable: HashSet<PredId> = omq
+            .data_schema
+            .preds()
+            .iter()
+            .copied()
+            .chain(
+                sigma
+                    .iter()
+                    .filter(|t| !t.is_full())
+                    .map(|t| t.head[0].pred),
+            )
+            .collect();
+        // Kahn's algorithm on the selectable dependency graph (head
+        // predicate -> selectable body predicates): it is acyclic iff every
+        // selectable predicate can be peeled off.
+        let edges: Vec<(PredId, PredId)> = sigma
+            .iter()
+            .filter(|t| !unselectable.contains(&t.head[0].pred))
+            .flat_map(|t| {
+                let h = t.head[0].pred;
+                t.body
+                    .iter()
+                    .filter(|a| !unselectable.contains(&a.pred))
+                    .map(move |a| (h, a.pred))
+            })
+            .collect();
+        let mut out_deg: std::collections::HashMap<PredId, usize> =
+            std::collections::HashMap::new();
+        for &(h, b) in &edges {
+            *out_deg.entry(h).or_default() += 1;
+            out_deg.entry(b).or_default();
+        }
+        let mut ready: Vec<PredId> = out_deg
+            .iter()
+            .filter(|&(_, &d)| d == 0)
+            .map(|(&p, _)| p)
+            .collect();
+        let mut peeled = 0;
+        while let Some(b) = ready.pop() {
+            peeled += 1;
+            for &(h, _) in edges.iter().filter(|&&(_, e)| e == b) {
+                let d = out_deg.get_mut(&h).expect("every edge end has a degree");
+                *d -= 1;
+                if *d == 0 {
+                    ready.push(h);
+                }
+            }
+        }
+        Selection {
+            defer_selected: peeled == out_deg.len(),
+            unselectable,
+        }
+    }
+
+    /// The position of the first body atom over a selectable predicate.
+    fn selected(&self, q: &Cq) -> Option<usize> {
+        q.body
+            .iter()
+            .position(|a| !self.unselectable.contains(&a.pred))
     }
 }
 
 /// Expands one query against every (pre-renamed) tgd: the pure, worker-side
 /// part of a round. Needs no vocabulary access — all fresh variables were
 /// drawn by the caller when renaming the tgds.
+///
+/// When the body holds an atom over a selectable predicate, only the first
+/// such atom is resolved, as a single-atom rewriting step against each tgd
+/// with its head predicate (full tgds: applicability always holds).
 ///
 /// The applicability check (Def. 6) is split across the loop structure: the
 /// *pool* prefilter keeps atoms whose predicate matches and which unify
@@ -789,10 +927,22 @@ fn emit_rewriting(
 fn expand_entry(
     q: &Cq,
     renamed: &[(Tgd, Vec<usize>)],
+    selection: &Selection,
     cfg: &XRewriteConfig,
     scratch: &mut SubsetScratch,
 ) -> Expansion {
     let mut out = Expansion::default();
+    if let Some(sel) = selection.selected(q) {
+        let atom = &q.body[sel];
+        for (t, _) in renamed.iter().filter(|(t, _)| t.head[0].pred == atom.pred) {
+            if let Some(mgu) = omq_model::mgu_atoms(atom, &t.head[0]) {
+                if head_guard_ok(q, &mgu) {
+                    emit_rewriting(q, &[sel], &mgu, t, &mut out, selection, cfg);
+                }
+            }
+        }
+        return out;
+    }
     let max_subset = cfg.max_subset.max(1);
     for (t, expos) in renamed {
         let head = &t.head[0];
@@ -827,7 +977,7 @@ fn expand_entry(
         // --- rewriting steps: singletons first (cached MGU)... ---
         for (k, &i) in rw_pool.iter().enumerate() {
             if head_guard_ok(q, &rw_mgu[k]) {
-                emit_rewriting(q, &[i], &rw_mgu[k], t, &mut out, cfg);
+                emit_rewriting(q, &[i], &rw_mgu[k], t, &mut out, selection, cfg);
             }
         }
         // --- ...then the multi-atom sets. ---
@@ -836,7 +986,7 @@ fn expand_entry(
             atoms.push(head);
             if let Some(gamma) = mgu_refs(&atoms) {
                 if head_guard_ok(q, &gamma) {
-                    emit_rewriting(q, s_idx, &gamma, t, &mut out, cfg);
+                    emit_rewriting(q, s_idx, &gamma, t, &mut out, selection, cfg);
                 }
             }
         });
@@ -880,7 +1030,7 @@ fn expand_entry(
                 }
                 let atoms: Vec<&Atom> = occ.iter().map(|&j| &q.body[j]).collect();
                 if let Some(gamma) = mgu_refs(&atoms) {
-                    out.consider(gamma.apply_cq(q), Label::Factorization, cfg);
+                    out.consider(gamma.apply_cq(q), Label::Factorization, selection, cfg);
                 }
                 tried.push(occ);
             }
@@ -897,6 +1047,7 @@ fn expand_entry(
 fn expand_frontier(
     frontier: &[Entry],
     renamed: &[(Tgd, Vec<usize>)],
+    selection: &Selection,
     cfg: &XRewriteConfig,
     threads: usize,
 ) -> Vec<Expansion> {
@@ -908,7 +1059,7 @@ fn expand_frontier(
                 ..Default::default()
             };
         }
-        expand_entry(&e.cq, renamed, cfg, scratch)
+        expand_entry(&e.cq, renamed, selection, cfg, scratch)
     };
     if threads <= 1 || n < 2 {
         let mut scratch = SubsetScratch::default();
@@ -945,6 +1096,7 @@ pub fn xrewrite(
     } else {
         omq_classes::normalize_heads(voc, &omq.sigma)
     };
+    let selection = Selection::new(omq, &sigma);
 
     let mut stats = RewriteStats::default();
     let mut entries: Vec<Entry> = Vec::new();
@@ -956,7 +1108,7 @@ pub fn xrewrite(
         let merge_start = Instant::now();
         let mut seed_exp = Expansion::default();
         for d in &omq.query.disjuncts {
-            seed_exp.consider(d.clone(), Label::Rewriting, cfg);
+            seed_exp.consider(d.clone(), Label::Rewriting, &selection, cfg);
         }
         // Seeds are inputs, not generated candidates.
         seed_exp.seen = 0;
@@ -1042,7 +1194,13 @@ pub fn xrewrite(
         let expand_start = Instant::now();
         let expansions = {
             let _span = omq_obs::span("rewrite.expand");
-            expand_frontier(&entries[cursor..frontier_end], &renamed, cfg, threads)
+            expand_frontier(
+                &entries[cursor..frontier_end],
+                &renamed,
+                &selection,
+                cfg,
+                threads,
+            )
         };
         stats.expand_nanos += expand_start.elapsed().as_nanos() as u64;
 
@@ -1402,6 +1560,201 @@ mod tests {
             }
             Ok(_) => panic!("expired budget must not report a complete rewriting"),
         }
+    }
+
+    /// Does some disjunct use exactly the predicates `preds` (as a set)?
+    fn has_disjunct_over(out: &RewriteOutput, voc: &Vocabulary, preds: &[&str]) -> bool {
+        let mut want: Vec<PredId> = preds.iter().map(|n| voc.pred_id(n).unwrap()).collect();
+        want.sort();
+        out.ucq.disjuncts.iter().any(|d| {
+            let mut got: Vec<PredId> = d.body.iter().map(|a| a.pred).collect();
+            got.sort();
+            got.dedup();
+            got == want
+        })
+    }
+
+    /// A predicate with a full and an existential defining tgd is not
+    /// selectable: the query needs factorization on the existential
+    /// position (`Y` is shared), which selection would skip, losing `B(x)`.
+    #[test]
+    fn mixed_full_and_existential_head_is_not_selected() {
+        let (q, mut voc) = omq(
+            "A(X) -> P(X,X)
+             B(X) -> exists Y . P(X,Y)
+             q :- P(X,Y), P(Z,Y)
+",
+            &["A", "B"],
+        );
+        let sigma = q.sigma.clone();
+        assert!(Selection::new(&q, &sigma)
+            .unselectable
+            .contains(&voc.pred_id("P").unwrap()));
+        let out = xrewrite(&q, &mut voc, &XRewriteConfig::default()).unwrap();
+        assert!(has_disjunct_over(&out, &voc, &["A"]), "{:?}", out.ucq);
+        assert!(has_disjunct_over(&out, &voc, &["B"]), "{:?}", out.ucq);
+    }
+
+    /// A head predicate that is also in the data schema is not selectable:
+    /// the entry keeping `P(x)` must still resolve its `R` atom, which
+    /// gives the disjunct `P(x), C(x)`.
+    #[test]
+    fn data_schema_head_is_not_selected() {
+        let (q, mut voc) = omq(
+            "A(X) -> P(X)
+             C(X) -> exists Y . R(X,Y)
+             q(X) :- P(X), R(X,Y)
+",
+            &["A", "P", "C"],
+        );
+        let sigma = q.sigma.clone();
+        assert!(Selection::new(&q, &sigma)
+            .unselectable
+            .contains(&voc.pred_id("P").unwrap()));
+        let out = xrewrite(&q, &mut voc, &XRewriteConfig::default()).unwrap();
+        assert!(has_disjunct_over(&out, &voc, &["P", "C"]), "{:?}", out.ucq);
+        assert!(has_disjunct_over(&out, &voc, &["A", "C"]), "{:?}", out.ucq);
+    }
+
+    /// An atom over a predicate outside the data schema that no tgd defines
+    /// is selected, and its entry yields no candidates: the query holds on
+    /// no database.
+    #[test]
+    fn undefined_selected_atom_yields_no_candidates() {
+        let (q, mut voc) = omq(
+            "A(X) -> P(X)
+             q(X) :- U(X), A(X)
+",
+            &["A"],
+        );
+        let out = xrewrite(&q, &mut voc, &XRewriteConfig::default()).unwrap();
+        assert_eq!(out.stats.candidates, 0);
+        assert_eq!(out.generated, 1);
+        assert!(out.ucq.disjuncts.is_empty());
+    }
+
+    /// The E3 family: `L{i}(X,Y), L{i}(Y,Z) -> L{i+1}(X,Z)` for
+    /// `i < strata`, the query `q(X,Z) :- L{strata}(X,Z)`, data schema
+    /// `{L0}`. The rewriting is one path of `2^strata` `L0` atoms.
+    fn strata_program(strata: usize) -> String {
+        let mut text: String = (0..strata)
+            .map(|i| {
+                format!(
+                    "L{i}(X,Y), L{i}(Y,Z) -> L{}(X,Z)
+",
+                    i + 1
+                )
+            })
+            .collect();
+        text.push_str(&format!(
+            "q(X,Z) :- L{strata}(X,Z)
+"
+        ));
+        text
+    }
+
+    /// The E2 counter family for `n` bits (see
+    /// `omq_reductions::counter_family`): every predicate but `S` is
+    /// Datalog-defined, and the rewriting is the `2^n` atoms `S(b̄,0,1)`.
+    fn counter_program(n: usize) -> String {
+        let xs = |i: usize, bit: &str| -> String {
+            (1..=n)
+                .map(|j| {
+                    if j == i {
+                        bit.to_owned()
+                    } else {
+                        format!("X{j}")
+                    }
+                })
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        let mut text = format!(
+            "S({0},Z,O) -> P{n}({0},Z,O)
+",
+            xs(0, "")
+        );
+        for i in 1..=n {
+            text.push_str(&format!(
+                "P{i}({z},Z,O), P{i}({o},Z,O) -> P{}({z},Z,O)
+",
+                i - 1,
+                z = xs(i, "Z"),
+                o = xs(i, "O"),
+            ));
+        }
+        text.push_str(&format!(
+            "P0({},Z,O) -> Ans(Z,O)
+",
+            vec!["Z"; n].join(",")
+        ));
+        text.push_str(
+            "q :- Ans(0,1)
+",
+        );
+        text
+    }
+
+    /// Selection resolves one atom per query, so the E3 and E2 families
+    /// reach their single disjunct without enumerating resolution orders
+    /// (unselected: 10,857 queries for strata=4, 678 for n=3).
+    #[test]
+    fn selection_collapses_resolution_orders() {
+        let (q, mut voc) = omq(&strata_program(4), &["L0"]);
+        let out = xrewrite(&q, &mut voc, &XRewriteConfig::default()).unwrap();
+        assert_eq!(out.generated, 16);
+        assert!(out.stats.candidates <= 64, "{}", out.stats.candidates);
+        assert_eq!(out.ucq.disjuncts.len(), 1);
+        assert_eq!(out.ucq.disjuncts[0].body.len(), 16);
+
+        let (q, mut voc) = omq(&counter_program(3), &["S"]);
+        let out = xrewrite(&q, &mut voc, &XRewriteConfig::default()).unwrap();
+        assert!(out.generated <= 17, "{}", out.generated);
+        assert_eq!(out.ucq.disjuncts.len(), 1);
+        assert_eq!(out.ucq.disjuncts[0].body.len(), 8);
+    }
+
+    /// With non-recursive selectable predicates, queries that still hold a
+    /// selectable atom are left uncored but are still deduplicated modulo
+    /// renaming: `S(x)` is reached through `Q` and through `R`, and its
+    /// second copy is dropped.
+    #[test]
+    fn deferred_candidates_are_deduplicated() {
+        let (q, mut voc) = omq(
+            "Q(X) -> P(X)
+             R(X) -> P(X)
+             S(X) -> Q(X)
+             S(X) -> R(X)
+             A(X) -> S(X)
+             q(X) :- P(X)
+",
+            &["A"],
+        );
+        let sigma = q.sigma.clone();
+        assert!(Selection::new(&q, &sigma).defer_selected);
+        let out = xrewrite(&q, &mut voc, &XRewriteConfig::default()).unwrap();
+        assert_eq!(out.stats.dedup_hits_iso, 1);
+        assert_eq!(out.generated, 5);
+        assert!(has_disjunct_over(&out, &voc, &["A"]), "{:?}", out.ucq);
+    }
+
+    /// A recursive selectable predicate turns deferral off: uncored, the
+    /// resolvents `P(x), R(x,y1), ..., R(x,yk)` would all be new, while
+    /// their cores collapse to `P(x), R(x,y1)` and the run terminates.
+    #[test]
+    fn recursive_selectable_predicate_keeps_coring() {
+        let (q, mut voc) = omq(
+            "P0(X) -> P(X)
+             P(X), R(X,Y) -> P(X)
+             q(X) :- P(X)
+",
+            &["P0", "R"],
+        );
+        let sigma = q.sigma.clone();
+        assert!(!Selection::new(&q, &sigma).defer_selected);
+        let out = xrewrite(&q, &mut voc, &XRewriteConfig::default()).unwrap();
+        assert!(out.generated < 10, "{}", out.generated);
+        assert!(has_disjunct_over(&out, &voc, &["P0"]), "{:?}", out.ucq);
     }
 
     /// The two dedup strategies and any thread count produce identical

@@ -8,7 +8,9 @@
 //! * subsumption pruning must preserve certain answers on random databases
 //!   (the pruned and unpruned UCQs are semantically equivalent),
 //! * canonical labeling must agree with `cq_isomorphic` across the output
-//!   disjuncts (equal forms ⟺ isomorphic).
+//!   disjuncts (equal forms ⟺ isomorphic),
+//! * the rewriting must give the certain answers the chase gives on random
+//!   databases (a second sweep, the chase oracle).
 //!
 //! The generators are SplitMix64-driven (no external crates) and shaped per
 //! class; membership is re-checked with the `omq-classes` deciders, and
@@ -17,7 +19,9 @@
 
 use std::collections::HashSet;
 
-use omq_chase::{cq_canonical_form, cq_isomorphic, eval_ucq};
+use omq_chase::{
+    certain_answers_via_chase, cq_canonical_form, cq_isomorphic, eval_ucq, ChaseConfig, EvalError,
+};
 use omq_classes::{is_linear, is_non_recursive, is_sticky};
 use omq_model::rng::SplitMix64;
 use omq_model::{
@@ -387,6 +391,116 @@ fn rewriting_differential_sweep() {
     // Sticky-shaped generation should mostly pass the marking test.
     assert!(
         nonsticky_skips <= 40,
+        "sticky generator too lossy: {nonsticky_skips}"
+    );
+}
+
+const ORACLE_CASES: u64 = 300;
+/// Chase steps per database in the oracle sweep. Non-recursive chases
+/// always finish; a linear or sticky chase that needs more steps is
+/// skipped (and counted).
+const ORACLE_CHASE_STEPS: usize = 2_000;
+
+/// The chase oracle: on random databases, the UCQ rewriting evaluated over
+/// the database gives exactly the certain answers computed by chasing it.
+/// Covers every non-recursive case (whose chase terminates) and every
+/// linear or sticky case whose chase completes within
+/// [`ORACLE_CHASE_STEPS`]; skipped cases are counted and a minimum number
+/// of compared cases per class is enforced.
+#[test]
+fn rewriting_agrees_with_chase_oracle() {
+    let mut rng = SplitMix64::seed_from_u64(0x5eed_c4a5_e0ac_1e03);
+    let mut compared = [0usize; 3];
+    let mut chase_skips = [0usize; 3];
+    let mut budget_skips = 0usize;
+    let mut nonsticky_skips = 0usize;
+
+    for case_no in 0..ORACLE_CASES {
+        let shape = (case_no % 3) as usize;
+        let case = gen_case(&mut rng, shape);
+        if shape == STICKY && !is_sticky(&case.omq.sigma) {
+            nonsticky_skips += 1;
+            continue;
+        }
+        let cfg = XRewriteConfig {
+            max_queries: MAX_QUERIES,
+            threads: 1,
+            ..Default::default()
+        };
+        let out = match run(&case, &cfg) {
+            Ok(out) => out,
+            Err(RewriteError::BudgetExceeded(_)) => {
+                budget_skips += 1;
+                continue;
+            }
+        };
+        let mut any_compared = false;
+        for _ in 0..4 {
+            let db = gen_db(&mut rng, &case);
+            let mut voc = case.voc.clone();
+            let chased = certain_answers_via_chase(
+                &case.omq,
+                &db,
+                &mut voc,
+                &ChaseConfig::with_steps(ORACLE_CHASE_STEPS),
+            );
+            let expected = match chased {
+                Ok(answers) => answers,
+                Err(EvalError::ChaseIncomplete { .. }) => {
+                    assert_ne!(
+                        shape, NONRECURSIVE,
+                        "case {case_no}: a non-recursive chase must terminate"
+                    );
+                    continue;
+                }
+                Err(e) => panic!("case {case_no}: {e}"),
+            };
+            assert_eq!(
+                eval_ucq(&out.ucq, &db),
+                expected,
+                "case {case_no}: rewriting and chase disagree on {db:?}\nrewriting: {:?}",
+                out.ucq
+            );
+            any_compared = true;
+        }
+        if any_compared {
+            compared[shape] += 1;
+        } else {
+            chase_skips[shape] += 1;
+        }
+    }
+
+    eprintln!(
+        "chase oracle: compared L/NR/S = {compared:?}, chase skips = {chase_skips:?}, \
+         budget skips = {budget_skips}, non-sticky skips = {nonsticky_skips}"
+    );
+    assert_eq!(
+        chase_skips[NONRECURSIVE], 0,
+        "every non-recursive case is compared"
+    );
+    assert!(
+        compared[NONRECURSIVE] >= 80,
+        "too few non-recursive cases compared: {}",
+        compared[NONRECURSIVE]
+    );
+    assert!(
+        compared[LINEAR] >= 50,
+        "too few linear cases compared: {} (chase skips {})",
+        compared[LINEAR],
+        chase_skips[LINEAR]
+    );
+    assert!(
+        compared[STICKY] >= 30,
+        "too few sticky cases compared: {} (chase skips {})",
+        compared[STICKY],
+        chase_skips[STICKY]
+    );
+    assert!(
+        budget_skips <= ORACLE_CASES as usize / 10,
+        "too many budget skips: {budget_skips}"
+    );
+    assert!(
+        nonsticky_skips <= 60,
         "sticky generator too lossy: {nonsticky_skips}"
     );
 }

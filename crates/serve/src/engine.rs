@@ -1229,7 +1229,6 @@ impl Engine {
                 "guarantee".to_owned(),
                 Json::str(match out.guarantee {
                     EvalGuarantee::Exact => "exact",
-                    EvalGuarantee::Stabilized => "stabilized",
                     EvalGuarantee::SoundLowerBound => "sound_lower_bound",
                 }),
             ),
