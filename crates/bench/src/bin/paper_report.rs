@@ -181,7 +181,7 @@ fn e4_guarded() -> Section {
             format!(
                 "depth {} ({:?}), holds={}",
                 out.depth_used,
-                out.completeness,
+                out.guarantee,
                 !out.answers.is_empty()
             ),
         ));

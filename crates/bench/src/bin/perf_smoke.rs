@@ -65,10 +65,11 @@ use omq_bench::workloads::{
 use omq_chase::{
     certain_answers_via_chase, chase, global_hom_snapshot, ChaseConfig, ChaseStats, HomStats,
 };
-use omq_core::{contains, ContainmentConfig};
+use omq_core::{contains, ContainmentConfig, ContainmentResult};
 use omq_guarded::{compile_encoding, EncodingConfig};
 use omq_obs::flight::{FlightRecorder, SpanTree};
 use omq_obs::metrics::MetricsRegistry;
+use omq_reductions::etp_to_containment;
 use omq_rewrite::{xrewrite, XRewriteConfig};
 
 struct Record {
@@ -353,14 +354,31 @@ fn main() {
             },
         ));
     }
-    for k in [2usize, 3] {
-        let omqs = tiling_workload(k);
+    // Thm. 16: Q₁ ⊆ Q₂ iff the ETP instance is positive, which the
+    // brute-force tiling solver decides independently. At k = 3 the default
+    // budgets cap both the stratified chase of a mask (`max_steps`) and the
+    // left-hand rewriting (`max_queries`), so that row times a capped run
+    // whose expected verdict is `unknown`.
+    for (k, capped) in [(2usize, false), (3, true)] {
+        let etp = tiling_workload(k);
+        let contained = etp.has_solution();
+        let expected = (!capped).then_some(contained);
+        let omqs = etp_to_containment(&etp);
         guarded_rows.push(guarded_record(
             &format!("guarded:tiling etp k={k} m=2"),
             || {
                 let mut voc = omqs.voc.clone();
                 let out =
                     contains(&omqs.q1, &omqs.q2, &mut voc, &ContainmentConfig::default()).unwrap();
+                let verdict = match out.result {
+                    ContainmentResult::Contained => Some(true),
+                    ContainmentResult::NotContained(_) => Some(false),
+                    ContainmentResult::Unknown(_) => None,
+                };
+                assert_eq!(
+                    verdict, expected,
+                    "tiling k={k}: Thm. 16 says contained={contained}"
+                );
                 std::hint::black_box(out.witnesses_checked);
             },
         ));

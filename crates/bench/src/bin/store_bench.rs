@@ -30,7 +30,7 @@ use std::time::Instant;
 
 use omq_bench::obsjson::{counter_fields, instrumented_pass, phase_fields};
 use omq_bench::workloads::{chain_edge, tc_workload};
-use omq_chase::{chase, eval_ucq, ChaseConfig};
+use omq_chase::{chase, eval_ucq, ChaseConfig, Guarantee};
 use omq_model::{Atom, Instance, Vocabulary};
 use omq_obs::{Aggregator, Sink};
 use omq_store::{MaintainedStore, StoreConfig, StoreStats};
@@ -179,7 +179,7 @@ fn main() {
             facts.push(fact.clone());
             let db = Instance::from_atoms(facts.iter().cloned());
             let out = chase(&db, &omq.sigma, &mut voc, &cfg);
-            assert!(out.complete);
+            assert_eq!(out.guarantee, Guarantee::Exact);
             last = Some(out.instance);
         }
         let ms = t.elapsed().as_secs_f64() * 1e3;

@@ -269,21 +269,22 @@ pub fn witness_db(n: usize, voc: &mut Vocabulary) -> Instance {
     d
 }
 
-/// The Thm. 16 tiling reduction (`crates/reductions`): the paper-report E7
-/// "no" case (`T₁` solves the initial condition, the alternating `T₂`
-/// cannot) compiled to a containment instance `(Q₁, Q₂)`. `k` is the
+/// The Thm. 16 tiling reduction's input (`crates/reductions`): the
+/// paper-report E7 "no" case (`T₁` solves the initial condition, the
+/// alternating `T₂` cannot), which `omq_reductions::etp_to_containment`
+/// compiles to a containment instance `(Q₁, Q₂)`. `k` is the
 /// length of the universally-quantified initial condition; it scales the
 /// 0-ary data schema (`Cᵢʲ` for `i ≤ k`) and thereby the witness-mask
 /// space the containment sweep enumerates. The grid exponent `n` is the
 /// smallest value with `2^n >= k` (the reduction requires the initial
 /// condition to fit in one grid row).
-pub fn tiling_workload(k: usize) -> omq_reductions::EtpOmqs {
+pub fn tiling_workload(k: usize) -> omq_reductions::Etp {
     let alt = vec![(1u8, 2u8), (2, 1)];
     let mut n = 1u32;
     while (1usize << n) < k {
         n += 1;
     }
-    omq_reductions::etp_to_containment(&omq_reductions::Etp {
+    omq_reductions::Etp {
         k,
         n,
         m: 2,
@@ -291,7 +292,7 @@ pub fn tiling_workload(k: usize) -> omq_reductions::EtpOmqs {
         v1: omq_reductions::tiling::all_pairs(2),
         h2: alt.clone(),
         v2: alt,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use omq_classes::stratify;
 use omq_model::{Atom, Instance, NullId, PredId, Term, Tgd, Vocabulary};
 
 use crate::hom::{HomStats, JoinPlan, PlanCache, NO_LIMIT};
-use crate::runtime::Budget;
+use crate::runtime::{Budget, Cap, Guarantee};
 
 /// Which chase variant to run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
@@ -42,7 +42,7 @@ pub struct ChaseConfig {
     /// involves terms of depth `< d` has depth `d`. `None` = unbounded.
     pub max_depth: Option<usize>,
     /// Wall-clock/cancellation budget, polled at trigger granularity. An
-    /// expired budget aborts the run with `complete == false` — the partial
+    /// expired budget aborts the run as `Capped(Cap::Deadline)` — the partial
     /// instance is still a sound under-approximation, exactly as when the
     /// step budget runs out.
     pub budget: Budget,
@@ -101,10 +101,10 @@ pub struct DerivationStep {
 pub struct ChaseOutcome {
     /// The (partial) chase result.
     pub instance: Instance,
-    /// `true` iff a fixpoint was reached: the instance satisfies `Σ`.
-    /// When `false`, a budget was exhausted and the result is a sound but
-    /// possibly incomplete under-approximation of `chase(D, Σ)`.
-    pub complete: bool,
+    /// `Exact` iff a fixpoint was reached: the instance satisfies `Σ`.
+    /// When `Capped`, the named budget was exhausted and the result is a
+    /// sound but possibly incomplete under-approximation of `chase(D, Σ)`.
+    pub guarantee: Guarantee,
     /// Number of fired triggers.
     pub steps: usize,
     /// Depth of the deepest null created.
@@ -454,7 +454,7 @@ impl<'a> Runner<'a> {
     /// round began. Because head satisfaction (restricted) and the fired set
     /// (oblivious) are both monotone in the instance, a trigger skipped once
     /// stays skippable, so old-only triggers never need revisiting.
-    fn run(&mut self, active: &[usize]) -> bool {
+    fn run(&mut self, active: &[usize]) -> Guarantee {
         self.run_from(active, 0)
     }
 
@@ -464,7 +464,7 @@ impl<'a> Runner<'a> {
     /// round only enumerates triggers touching the freshly asserted atoms —
     /// the semi-naive invariant (skipped triggers stay skippable) makes
     /// re-enumerating the old fixpoint unnecessary.
-    fn run_from(&mut self, active: &[usize], initial_delta: usize) -> bool {
+    fn run_from(&mut self, active: &[usize], initial_delta: usize) -> Guarantee {
         let sigma = self.sigma;
         // Atoms at or past this index are "new" for the current round.
         let mut delta_start = initial_delta;
@@ -478,7 +478,7 @@ impl<'a> Runner<'a> {
             let round_start = self.instance.generation_start(round_gen);
             for &ti in active {
                 if self.cfg.budget.expired() {
-                    return false;
+                    return Guarantee::Capped(Cap::Deadline);
                 }
                 let tgd = &sigma[ti];
                 if tgd.body.is_empty() {
@@ -486,7 +486,7 @@ impl<'a> Runner<'a> {
                     // while the whole instance is the delta (round 0).
                     if delta_start == 0 {
                         if self.steps >= self.cfg.max_steps {
-                            return false;
+                            return Guarantee::Capped(Cap::Steps);
                         }
                         self.stats.triggers_considered += 1;
                         self.fire(ti, &[]);
@@ -560,15 +560,22 @@ impl<'a> Runner<'a> {
                 }
                 self.stats.triggers_considered += triggers.len();
                 for key in triggers.drain(..) {
-                    if self.steps >= self.cfg.max_steps || self.cfg.budget.expired() {
-                        return false;
+                    if self.steps >= self.cfg.max_steps {
+                        return Guarantee::Capped(Cap::Steps);
+                    }
+                    if self.cfg.budget.expired() {
+                        return Guarantee::Capped(Cap::Deadline);
                     }
                     self.fire(ti, &key);
                 }
             }
             if self.instance.len() == round_start {
                 // Fixpoint, unless depth truncation hid some work.
-                return !self.truncated;
+                return if self.truncated {
+                    Guarantee::Capped(Cap::Depth)
+                } else {
+                    Guarantee::Exact
+                };
             }
             delta_start = round_start;
         }
@@ -585,11 +592,11 @@ pub fn chase(
     let _span = omq_obs::span("chase");
     let mut runner = Runner::new(db, sigma, voc, cfg);
     let active: Vec<usize> = (0..sigma.len()).collect();
-    let complete = runner.run(&active);
+    let guarantee = runner.run(&active);
     runner.stats.emit_obs();
     ChaseOutcome {
         instance: runner.instance,
-        complete,
+        guarantee,
         steps: runner.steps,
         deepest: runner.deepest,
         stats: runner.stats,
@@ -629,12 +636,12 @@ pub fn resume_chase(
     let _span = omq_obs::span("chase.incremental");
     let mut runner = Runner::with_instance(prior, sigma, voc, cfg);
     let active: Vec<usize> = (0..sigma.len()).collect();
-    let complete = runner.run_from(&active, delta_start);
+    let guarantee = runner.run_from(&active, delta_start);
     runner.stats.emit_obs();
     omq_obs::counter("chase.incremental", 1);
     ChaseOutcome {
         instance: runner.instance,
-        complete,
+        guarantee,
         steps: runner.steps,
         deepest: runner.deepest,
         stats: runner.stats,
@@ -646,9 +653,9 @@ pub fn resume_chase(
 /// saturates each stratum bottom-up. Returns `None` when `sigma` is
 /// recursive.
 ///
-/// Always terminates and always returns a complete chase, so the outcome's
-/// `complete` flag is `true` (the step budget of `cfg` still applies as a
-/// safety net; exceeding it yields `complete == false`).
+/// Always terminates and always returns a complete chase, so the outcome is
+/// `Exact` (the budgets of `cfg` still apply as a safety net; the first cap
+/// hit is the outcome's guarantee).
 pub fn stratified_chase(
     db: &Instance,
     sigma: &[Tgd],
@@ -658,14 +665,17 @@ pub fn stratified_chase(
     let strata = stratify(sigma)?;
     let _span = omq_obs::span("chase");
     let mut runner = Runner::new(db, sigma, voc, cfg);
-    let mut complete = true;
+    let mut guarantee = Guarantee::Exact;
     for stratum in &strata {
-        complete &= runner.run(stratum);
+        let g = runner.run(stratum);
+        if guarantee == Guarantee::Exact {
+            guarantee = g;
+        }
     }
     runner.stats.emit_obs();
     Some(ChaseOutcome {
         instance: runner.instance,
-        complete,
+        guarantee,
         steps: runner.steps,
         deepest: runner.deepest,
         stats: runner.stats,
@@ -700,7 +710,7 @@ mod tests {
         ];
         let d = db(&mut voc, &["E(a,b)", "E(b,c)", "E(c,d)"]);
         let out = chase(&d, &sigma, &mut voc, &ChaseConfig::default());
-        assert!(out.complete);
+        assert_eq!(out.guarantee, Guarantee::Exact);
         // Transitive closure: T has 3+2+1 = 6 atoms.
         let t = voc.pred_id("T").unwrap();
         assert_eq!(out.instance.atoms_with_pred(t).len(), 6);
@@ -713,7 +723,7 @@ mod tests {
         let sigma = vec![parse_tgd(&mut voc, "P(X) -> exists Y . R(X,Y)").unwrap()];
         let d = db(&mut voc, &["P(a)", "P(b)", "R(b,c)"]);
         let out = chase(&d, &sigma, &mut voc, &ChaseConfig::default());
-        assert!(out.complete);
+        assert_eq!(out.guarantee, Guarantee::Exact);
         let r = voc.pred_id("R").unwrap();
         // Only one new R-atom (for a); b's obligation was already satisfied.
         assert_eq!(out.instance.atoms_with_pred(r).len(), 2);
@@ -730,7 +740,7 @@ mod tests {
             ..Default::default()
         };
         let out = chase(&d, &sigma, &mut voc, &cfg);
-        assert!(out.complete);
+        assert_eq!(out.guarantee, Guarantee::Exact);
         let r = voc.pred_id("R").unwrap();
         assert_eq!(out.instance.atoms_with_pred(r).len(), 3); // b gets a fresh one too
     }
@@ -741,7 +751,7 @@ mod tests {
         let sigma = vec![parse_tgd(&mut voc, "P(X) -> exists Y . Q(X,Y), P(Y)").unwrap()];
         let d = db(&mut voc, &["P(a)"]);
         let out = chase(&d, &sigma, &mut voc, &ChaseConfig::with_steps(50));
-        assert!(!out.complete);
+        assert_eq!(out.guarantee, Guarantee::Capped(Cap::Steps));
         assert_eq!(out.steps, 50);
     }
 
@@ -751,7 +761,7 @@ mod tests {
         let sigma = vec![parse_tgd(&mut voc, "P(X) -> exists Y . Q(X,Y), P(Y)").unwrap()];
         let d = db(&mut voc, &["P(a)"]);
         let out = chase(&d, &sigma, &mut voc, &ChaseConfig::with_depth(3));
-        assert!(!out.complete);
+        assert_eq!(out.guarantee, Guarantee::Capped(Cap::Depth));
         assert_eq!(out.deepest, 3);
         let q = voc.pred_id("Q").unwrap();
         assert_eq!(out.instance.atoms_with_pred(q).len(), 3);
@@ -783,7 +793,7 @@ mod tests {
         ];
         let d = db(&mut voc, &["A(a)", "A(b)"]);
         let out = stratified_chase(&d, &sigma, &mut voc, &ChaseConfig::default()).unwrap();
-        assert!(out.complete);
+        assert_eq!(out.guarantee, Guarantee::Exact);
         let dpred = voc.pred_id("D").unwrap();
         assert_eq!(out.instance.atoms_with_pred(dpred).len(), 2);
         // Same atoms as the plain restricted chase.
@@ -807,7 +817,7 @@ mod tests {
             parse_tgd(&mut voc, "Bit(X) -> Num(X)").unwrap(),
         ];
         let out = chase(&Instance::new(), &sigma, &mut voc, &ChaseConfig::default());
-        assert!(out.complete);
+        assert_eq!(out.guarantee, Guarantee::Exact);
         assert_eq!(out.instance.len(), 4);
     }
 
@@ -820,7 +830,7 @@ mod tests {
         ];
         let d = db(&mut voc, &["E(a,b)", "E(b,c)", "E(c,d)"]);
         let out = chase(&d, &sigma, &mut voc, &ChaseConfig::default());
-        assert!(out.complete);
+        assert_eq!(out.guarantee, Guarantee::Exact);
         assert_eq!(out.stats.triggers_fired, out.steps);
         assert!(out.stats.rounds >= 3, "chain of 3 needs several rounds");
         assert!(out.stats.triggers_considered >= out.stats.triggers_fired);
@@ -845,7 +855,7 @@ mod tests {
             ..Default::default()
         };
         let out = chase(&d, &sigma, &mut voc, &cfg);
-        assert!(out.complete);
+        assert_eq!(out.guarantee, Guarantee::Exact);
         assert_eq!(out.stats.triggers_fired, 2);
         assert!(out.stats.dedup_hits >= 1);
     }
@@ -864,7 +874,7 @@ mod tests {
             ..Default::default()
         };
         let out = chase(&d, &sigma, &mut voc, &cfg);
-        assert!(!out.complete);
+        assert_eq!(out.guarantee, Guarantee::Capped(Cap::Deadline));
         assert_eq!(out.steps, 0);
     }
 
@@ -878,7 +888,7 @@ mod tests {
             ..Default::default()
         };
         let out = chase(&d, &sigma, &mut voc, &cfg);
-        assert!(out.complete);
+        assert_eq!(out.guarantee, Guarantee::Exact);
     }
 
     #[test]
@@ -891,7 +901,7 @@ mod tests {
         let d = db(&mut voc, &["E(a,b)", "E(b,c)", "E(c,d)"]);
         let cfg = ChaseConfig::default();
         let out = chase(&d, &sigma, &mut voc, &cfg);
-        assert!(out.complete);
+        assert_eq!(out.guarantee, Guarantee::Exact);
 
         // Assert a new edge as a fresh delta generation and resume.
         let mut inst = out.instance;
@@ -902,7 +912,7 @@ mod tests {
             inst.insert(a);
         }
         let resumed = resume_chase(inst, delta_start, &sigma, &mut voc, &cfg);
-        assert!(resumed.complete);
+        assert_eq!(resumed.guarantee, Guarantee::Exact);
 
         // From-scratch chase of the full database: same atom set (no
         // existentials, so no null-renaming slack).
@@ -926,7 +936,7 @@ mod tests {
         let mut inst = out.instance;
         inst.begin_generation();
         let resumed = resume_chase(inst, len, &sigma, &mut voc, &ChaseConfig::default());
-        assert!(resumed.complete);
+        assert_eq!(resumed.guarantee, Guarantee::Exact);
         assert_eq!(resumed.steps, 0);
         assert_eq!(resumed.stats.rounds, 1);
         assert_eq!(resumed.instance.len(), len);
@@ -949,7 +959,7 @@ mod tests {
             inst.insert(a);
         }
         let resumed = resume_chase(inst, delta_start, &sigma, &mut voc, &cfg);
-        assert!(resumed.complete);
+        assert_eq!(resumed.guarantee, Guarantee::Exact);
         let full = db(&mut voc, &["P(a)", "P(b)"]);
         let scratch = chase(&full, &sigma, &mut voc, &cfg);
         // Nulls differ across the two runs; the constant-only certain

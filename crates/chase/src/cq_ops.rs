@@ -810,9 +810,6 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 pub struct SubsumptionSieve {
     kept: Vec<SieveEntry>,
     kills: usize,
-    /// Reuse each entry's stored plan across probes (`false` recompiles per
-    /// probe — same results, used to exercise the uncached path).
-    reuse_plans: bool,
     stats: HomStats,
 }
 
@@ -870,17 +867,9 @@ fn contained_in_frozen(
 
 impl SubsumptionSieve {
     pub fn new() -> Self {
-        SubsumptionSieve::with_plan_cache(true)
-    }
-
-    /// A sieve that reuses per-entry compiled plans when `reuse_plans` is
-    /// true, or recompiles per probe otherwise. The surviving disjuncts are
-    /// identical either way.
-    pub fn with_plan_cache(reuse_plans: bool) -> Self {
         SubsumptionSieve {
             kept: Vec::new(),
             kills: 0,
-            reuse_plans,
             stats: HomStats::default(),
         }
     }
@@ -890,18 +879,13 @@ impl SubsumptionSieve {
     pub fn insert(&mut self, cq: Cq) -> bool {
         let (frozen, head) = freeze_to_nulls(&cq);
         let mask = pred_mask(&cq);
-        let reuse = self.reuse_plans;
         let mut rejected = false;
         for k in &self.kept {
             if !prefilter(k.mask, mask, &mut self.stats) {
                 // Some predicate of `k` is absent from `cq`: no hom exists.
                 continue;
             }
-            let plan = if reuse {
-                JoinPlan::reuse(&k.plan, &mut self.stats)
-            } else {
-                compile_entry_plan(&k.cq, &frozen, &mut self.stats)
-            };
+            let plan = JoinPlan::reuse(&k.plan, &mut self.stats);
             if contained_in_frozen(&plan, &k.cq.head, &frozen, &head, &mut self.stats) {
                 rejected = true;
                 break;
@@ -918,11 +902,7 @@ impl SubsumptionSieve {
             if !prefilter(mask, k.mask, stats) {
                 return true;
             }
-            let p = if reuse {
-                JoinPlan::reuse(&plan, stats)
-            } else {
-                compile_entry_plan(&cq, &k.frozen, stats)
-            };
+            let p = JoinPlan::reuse(&plan, stats);
             !contained_in_frozen(&p, &cq.head, &k.frozen, &k.head, stats)
         });
         self.kills += before - self.kept.len();

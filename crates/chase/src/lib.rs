@@ -12,7 +12,7 @@
 //!   satisfied) and the **oblivious** chase (every trigger fires once),
 //! * the **stratified** chase for non-recursive sets (always terminates),
 //! * step- and depth-budgeted chasing for classes where termination is not
-//!   guaranteed, with honest [`chase::ChaseOutcome::complete`] reporting,
+//!   guaranteed, with honest [`chase::ChaseOutcome::guarantee`] reporting,
 //! * chase-based OMQ evaluation and the critical-instance satisfiability
 //!   test.
 
@@ -40,4 +40,4 @@ pub use hom::{
     sig_may_hom, Assignment, HomStats, HomView, JoinPlan, PlanCache, NO_LIMIT,
 };
 pub use omq_eval::{certain_answers_via_chase, critical_instance, EvalError};
-pub use runtime::{effective_threads, parallel_indexed, Budget, CancelToken};
+pub use runtime::{effective_threads, parallel_indexed, Budget, CancelToken, Cap, Guarantee};

@@ -8,6 +8,7 @@ use omq_model::{Atom, ConstId, Instance, Omq, Schema, Term, Vocabulary};
 
 use crate::chase::{chase, stratified_chase, ChaseConfig};
 use crate::eval::eval_ucq;
+use crate::runtime::Guarantee;
 
 /// Errors surfaced by evaluation strategies.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,12 +61,12 @@ pub fn certain_answers_via_chase(
     } else {
         chase(db, &omq.sigma, voc, cfg)
     };
-    if !outcome.complete {
-        return Err(EvalError::ChaseIncomplete {
+    match outcome.guarantee {
+        Guarantee::Exact => Ok(eval_ucq(&omq.query, &outcome.instance)),
+        Guarantee::Capped(_) => Err(EvalError::ChaseIncomplete {
             steps: outcome.steps,
-        });
+        }),
     }
-    Ok(eval_ucq(&omq.query, &outcome.instance))
 }
 
 /// Builds the *critical instance* for a schema: one constant `*` and, for

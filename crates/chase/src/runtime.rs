@@ -11,9 +11,9 @@
 //! deadline and/or an externally triggered cancel flag, polled cooperatively
 //! at the algorithms' existing round/step boundaries. An expired budget
 //! never flips a verdict — every engine reports budget expiry through the
-//! same "incomplete/partial" channel as its work budgets, so results stay
+//! same channel as its work budgets, a [`Guarantee`], so results stay
 //! sound (a refutation found before expiry is still a refutation; a missing
-//! fixpoint is reported as `complete == false` / `Unknown`).
+//! fixpoint is reported as `Capped(Cap::Deadline)` / `Unknown`).
 //!
 //! ## Worker pools
 //!
@@ -110,6 +110,41 @@ impl Budget {
         self.deadline
             .map(|d| d.saturating_duration_since(Instant::now()))
     }
+}
+
+/// Whether a result is complete: the one completeness fact that every
+/// layer, from the chase to the serve responses, passes on unchanged.
+///
+/// A capped result is always *sound* (every answer, disjunct or derived
+/// atom is correct) but proves no negative fact: a missing answer may
+/// still appear past the cap. There is no third, "heuristically complete"
+/// state.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+pub enum Guarantee {
+    /// The producer reached its fixpoint: the result is exact.
+    Exact,
+    /// The producer stopped at the named cap before its fixpoint.
+    Capped(Cap),
+}
+
+/// The cap that stopped a producer short of its fixpoint.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+pub enum Cap {
+    /// The chase's step budget (`max_steps`).
+    Steps,
+    /// The chase's null-depth budget (`max_depth`): a trigger was skipped
+    /// because it would have created a too-deep null.
+    Depth,
+    /// XRewrite's query budget (`max_queries`).
+    Queries,
+    /// The wall-clock/cancellation [`Budget`] expired.
+    Deadline,
+    /// The guarded engine's stabilization window: the set of single-atom
+    /// types stopped changing for `|q| + 1` depth levels. That is a
+    /// heuristic, not a proof. A guarded 4-bit counter has every atom type
+    /// by depth 8, yet reaches `1111` on one null only at depth 15, so a
+    /// match can first appear past the window.
+    Window,
 }
 
 /// Resolves a `threads` configuration knob for `work` independent items:

@@ -3,12 +3,12 @@
 
 use std::fmt;
 
-use omq_chase::critical_instance;
+use omq_chase::{critical_instance, Guarantee};
 use omq_model::{Omq, Ucq, Vocabulary};
 use omq_rewrite::{xrewrite, RewriteError};
 
 use crate::containment::{contains, ContainmentConfig, ContainmentResult};
-use crate::evaluate::{evaluate, EvalConfig, EvalGuarantee, Trool};
+use crate::evaluate::{evaluate, EvalConfig, Trool};
 use crate::languages::detect_language;
 
 /// Is the OMQ unsatisfiable: no `S`-database makes it true?
@@ -19,13 +19,10 @@ use crate::languages::detect_language;
 pub fn is_unsatisfiable(omq: &Omq, voc: &mut Vocabulary, cfg: &EvalConfig) -> Trool {
     let (crit, _) = critical_instance(&omq.data_schema, voc);
     let out = evaluate(omq, &crit, voc, cfg);
-    if !out.answers.is_empty() {
-        Trool::False
-    } else {
-        match out.guarantee {
-            EvalGuarantee::Exact => Trool::True,
-            EvalGuarantee::SoundLowerBound => Trool::Unknown,
-        }
+    match out.guarantee {
+        _ if !out.answers.is_empty() => Trool::False,
+        Guarantee::Exact => Trool::True,
+        Guarantee::Capped(_) => Trool::Unknown,
     }
 }
 
@@ -143,7 +140,7 @@ pub fn is_ucq_rewritable(
     let _ = detect_language(omq);
     match xrewrite(omq, voc, &cfg.rewrite) {
         Ok(out) => RewritabilityResult::Rewritable(out.ucq),
-        Err(RewriteError::BudgetExceeded(partial)) => RewritabilityResult::Unknown {
+        Err(RewriteError::BudgetExceeded(_, partial)) => RewritabilityResult::Unknown {
             partial: partial.ucq,
             budget: cfg.rewrite.max_queries,
         },

@@ -32,7 +32,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use omq_chase::{runtime, Budget, CompiledUcq, HomStats};
+use omq_chase::{runtime, Budget, CompiledUcq, Guarantee, HomStats};
 use omq_guarded::{compile_encoding, EncodingArtifact, EncodingConfig};
 use omq_model::{ConstId, Cq, Instance, Vocabulary};
 use omq_model::{Omq, Ucq};
@@ -104,12 +104,6 @@ pub struct ContainmentConfig {
     pub eval: EvalConfig,
     /// Budget ladder for the anytime (guarded) path.
     pub anytime_budgets: Vec<usize>,
-    /// When every data-schema predicate is 0-ary (a *propositional*
-    /// schema, as in the Thm. 16 reduction) and the schema has at most
-    /// this many predicates, decide containment by exhaustively
-    /// enumerating all `2^|S|` databases — exact and usually much cheaper
-    /// than rewriting. Set to 0 to disable.
-    pub max_propositional_schema: usize,
     /// Worker threads for the disjunct sweep and the propositional
     /// enumeration. `0` means "use the machine's available parallelism";
     /// `1` forces the sequential path. The parallel sweep is deterministic:
@@ -138,7 +132,6 @@ impl Default for ContainmentConfig {
             rewrite: XRewriteConfig::default(),
             eval: EvalConfig::default(),
             anytime_budgets: vec![50, 500, 2_000, 8_000],
-            max_propositional_schema: 12,
             threads: 0,
             budget: Budget::unlimited(),
             lhs_encoding: None,
@@ -189,7 +182,10 @@ pub struct ContainmentOutcome {
 /// Other languages dispatch through [`is_certain_answer`] per disjunct.
 pub(crate) enum RhsChecker {
     /// The (possibly partial) rewriting of `Q₂`, computed and compiled once.
-    Rewritten { ucq: CompiledUcq, complete: bool },
+    Rewritten {
+        ucq: CompiledUcq,
+        guarantee: Guarantee,
+    },
     /// Per-disjunct dispatch on `Q₂`'s language (NR, guarded, full, …).
     Direct,
 }
@@ -204,13 +200,13 @@ pub(crate) enum DisjunctVerdict {
 impl RhsChecker {
     /// Builds the checker, computing `Q₂`'s rewriting up front when its
     /// language is UCQ-rewritable. `reuse` supplies an already-computed
-    /// rewriting of `Q₂` (e.g. the left-hand side's, when `Q₁ == Q₂`);
+    /// exact rewriting of `Q₂` (e.g. the left-hand side's, when `Q₁ == Q₂`);
     /// otherwise the rewriting is obtained through `src` (which may replay
     /// a cached artifact).
     pub(crate) fn build(
         q2: &Omq,
         rhs_language: OmqLanguage,
-        reuse: Option<(&Ucq, bool)>,
+        reuse: Option<&Ucq>,
         voc: &mut Vocabulary,
         cfg: &ContainmentConfig,
         src: &mut dyn RewriteSource,
@@ -218,16 +214,16 @@ impl RhsChecker {
     ) -> RhsChecker {
         match rhs_language {
             OmqLanguage::Empty | OmqLanguage::Linear | OmqLanguage::Sticky => {
-                if let Some((ucq, complete)) = reuse {
+                if let Some(ucq) = reuse {
                     return RhsChecker::Rewritten {
                         ucq: CompiledUcq::new(ucq, hom),
-                        complete,
+                        guarantee: Guarantee::Exact,
                     };
                 }
                 let art = src.rewrite(q2, voc, &cfg.eval.rewrite);
                 RhsChecker::Rewritten {
                     ucq: CompiledUcq::new(&art.ucq, hom),
-                    complete: art.complete,
+                    guarantee: art.guarantee,
                 }
             }
             _ => RhsChecker::Direct,
@@ -253,17 +249,13 @@ impl RhsChecker {
             ))
         };
         match self {
-            RhsChecker::Rewritten { ucq, complete } => {
-                if ucq.is_answer(db, tuple, hom) {
-                    DisjunctVerdict::Pass
-                } else if *complete {
-                    DisjunctVerdict::Refuted
-                } else {
-                    // A partial rewriting is sound but incomplete: a miss
-                    // proves nothing.
-                    inconclusive()
-                }
-            }
+            RhsChecker::Rewritten { ucq, guarantee } => match guarantee {
+                _ if ucq.is_answer(db, tuple, hom) => DisjunctVerdict::Pass,
+                Guarantee::Exact => DisjunctVerdict::Refuted,
+                // A partial rewriting is sound but incomplete: a miss
+                // proves nothing.
+                Guarantee::Capped(_) => inconclusive(),
+            },
             RhsChecker::Direct => match is_certain_answer(q2, db, tuple, voc, &cfg.eval) {
                 Trool::True => DisjunctVerdict::Pass,
                 Trool::False => DisjunctVerdict::Refuted,
@@ -447,23 +439,23 @@ pub fn contains_with(
     }
 
     let result = if lhs_language.is_ucq_rewritable() {
-        // `complete == false` should not happen for genuinely rewritable
+        // A capped rewriting should not happen for genuinely rewritable
         // classes, but budgets are budgets: a partial rewriting still
         // supports sound refutation.
         let lhs = src.rewrite(q1, voc, &cfg.rewrite);
-        let (lhs_ucq, lhs_complete) = (lhs.ucq, lhs.complete);
         // When both sides are the same OMQ (self-containment, the inner
         // half of every equivalence check) the left rewriting *is* the
         // right one: reuse it instead of rewriting again.
-        let reuse = (lhs_complete && q1 == q2).then_some((&lhs_ucq, true));
+        let reuse = (lhs.guarantee == Guarantee::Exact && q1 == q2).then_some(&lhs.ucq);
         let rhs = RhsChecker::build(q2, rhs_language, reuse, voc, cfg, src, &mut hom);
-        match check_disjuncts(&lhs_ucq.disjuncts, &rhs, q2, voc, cfg, &mut stats, &mut hom) {
-            Ok(Some(w)) => ContainmentResult::NotContained(Box::new(w)),
-            Ok(None) if lhs_complete => ContainmentResult::Contained,
-            Ok(None) => ContainmentResult::Unknown(
+        let sweep = check_disjuncts(&lhs.ucq.disjuncts, &rhs, q2, voc, cfg, &mut stats, &mut hom);
+        match (sweep, lhs.guarantee) {
+            (Ok(Some(w)), _) => ContainmentResult::NotContained(Box::new(w)),
+            (Ok(None), Guarantee::Exact) => ContainmentResult::Contained,
+            (Ok(None), Guarantee::Capped(_)) => ContainmentResult::Unknown(
                 "rewriting budget exceeded on a UCQ-rewritable input".into(),
             ),
-            Err(reason) => ContainmentResult::Unknown(reason),
+            (Err(reason), _) => ContainmentResult::Unknown(reason),
         }
     } else {
         anytime_guarded(
@@ -493,6 +485,12 @@ pub fn contains_with(
     })
 }
 
+/// When every data-schema predicate is 0-ary (a *propositional* schema, as
+/// in the Thm. 16 reduction) and the schema has at most this many
+/// predicates, containment is decided by exhaustively enumerating all
+/// `2^|S|` databases — exact and usually much cheaper than rewriting.
+const MAX_PROPOSITIONAL_SCHEMA: usize = 12;
+
 /// Exhaustive decision for *propositional* data schemas (all predicates
 /// 0-ary): the `S`-databases are exactly the subsets of the `|S|` facts, so
 /// containment is decided by checking `Q₁(D) ⊆ Q₂(D)` on each of the
@@ -509,10 +507,7 @@ fn propositional_enumeration(
     stats: &mut (usize, usize),
 ) -> Option<ContainmentResult> {
     let preds = q1.data_schema.preds();
-    if cfg.max_propositional_schema == 0
-        || preds.len() > cfg.max_propositional_schema
-        || preds.iter().any(|&p| voc.arity(p) != 0)
-    {
+    if preds.len() > MAX_PROPOSITIONAL_SCHEMA || preds.iter().any(|&p| voc.arity(p) != 0) {
         return None;
     }
 
@@ -561,7 +556,7 @@ fn propositional_enumeration(
         .flatten();
 
     let check_mask = |mask: u64, voc: &mut Vocabulary| -> (Option<MaskEvent>, bool) {
-        use crate::evaluate::{evaluate_in_language, EvalGuarantee::SoundLowerBound};
+        use crate::evaluate::evaluate_in_language;
         if let Some(p) = &over1 {
             if !p.holds(p.closure(mask)) {
                 omq_obs::counter("contain.masks_pruned", 1);
@@ -576,14 +571,14 @@ fn propositional_enumeration(
         }
         let db = mask_db(mask);
         let a1 = evaluate_in_language(q1, &db, voc, &cfg.eval, &mut DirectRewrite, langs.0);
-        if a1.guarantee == SoundLowerBound {
+        if let Guarantee::Capped(_) = a1.guarantee {
             return (Some(MaskEvent::Fallback), false);
         }
         if a1.answers.is_empty() {
             return (None, false);
         }
         let a2 = evaluate_in_language(q2, &db, voc, &cfg.eval, &mut DirectRewrite, langs.1);
-        if a2.guarantee == SoundLowerBound {
+        if let Guarantee::Capped(_) = a2.guarantee {
             return (Some(MaskEvent::Fallback), false);
         }
         let q2_true = !a2.answers.is_empty();
@@ -950,18 +945,15 @@ fn anytime_guarded(
             ..cfg.rewrite.clone()
         };
         let art = src.rewrite(q1, voc, &rw_cfg);
-        let (ucq, complete) = (art.ucq, art.complete);
         // Only test disjuncts not covered in earlier (smaller) rounds.
-        let fresh: Vec<Cq> = ucq.disjuncts.iter().skip(tested).cloned().collect();
-        tested = ucq.disjuncts.len().max(tested);
-        match check_disjuncts(&fresh, &rhs, q2, voc, cfg, stats, hom) {
-            Ok(Some(w)) => return ContainmentResult::NotContained(Box::new(w)),
-            Ok(None) => {
-                if complete {
-                    return ContainmentResult::Contained;
-                }
-            }
-            Err(reason) => return ContainmentResult::Unknown(reason),
+        let fresh: Vec<Cq> = art.ucq.disjuncts.iter().skip(tested).cloned().collect();
+        tested = art.ucq.disjuncts.len().max(tested);
+        let sweep = check_disjuncts(&fresh, &rhs, q2, voc, cfg, stats, hom);
+        match (sweep, art.guarantee) {
+            (Ok(Some(w)), _) => return ContainmentResult::NotContained(Box::new(w)),
+            (Ok(None), Guarantee::Exact) => return ContainmentResult::Contained,
+            (Ok(None), Guarantee::Capped(_)) => {}
+            (Err(reason), _) => return ContainmentResult::Unknown(reason),
         }
     }
     ContainmentResult::Unknown(format!(
@@ -1305,9 +1297,8 @@ mod tests {
                 );
                 let a1 = crate::evaluate::evaluate(&q1, &db, &mut voc, &cfg.eval);
                 let a2 = crate::evaluate::evaluate(&q2, &db, &mut voc, &cfg.eval);
-                use crate::evaluate::EvalGuarantee::SoundLowerBound;
-                assert_ne!(a1.guarantee, SoundLowerBound, "seed {seed}");
-                assert_ne!(a2.guarantee, SoundLowerBound, "seed {seed}");
+                assert_eq!(a1.guarantee, Guarantee::Exact, "seed {seed}");
+                assert_eq!(a2.guarantee, Guarantee::Exact, "seed {seed}");
                 if !a1.answers.is_empty() && a2.answers.is_empty() {
                     expected = Some((mask, db));
                     break;
@@ -1437,9 +1428,8 @@ mod tests {
                 );
                 let a1 = crate::evaluate::evaluate(&q1, &db, &mut voc, &cfg.eval);
                 let a2 = crate::evaluate::evaluate(&q2, &db, &mut voc, &cfg.eval);
-                use crate::evaluate::EvalGuarantee::SoundLowerBound;
-                assert_ne!(a1.guarantee, SoundLowerBound, "seed {seed}");
-                assert_ne!(a2.guarantee, SoundLowerBound, "seed {seed}");
+                assert_eq!(a1.guarantee, Guarantee::Exact, "seed {seed}");
+                assert_eq!(a2.guarantee, Guarantee::Exact, "seed {seed}");
                 if !a1.answers.is_empty() && a2.answers.is_empty() {
                     expected = Some((mask, db));
                     break;

@@ -6,15 +6,15 @@
 //! | `∅` | direct UCQ evaluation | exact |
 //! | `NR` | stratified chase (Prop. 3) | exact |
 //! | `L`, `S` | UCQ rewriting (Props. 2, 4 via Def. 1) | exact |
-//! | `G` | stabilizing guarded chase (Prop. 1) | exact if the chase terminates, else sound lower bound |
+//! | `G` | depth-deepening guarded chase (Prop. 1) | exact if the chase terminates, else sound lower bound |
 //! | `F`, general | budgeted chase | exact if it terminates, else sound lower bound |
 
 use std::collections::HashSet;
 
 use omq_chase::chase::{chase, stratified_chase, ChaseConfig};
 use omq_chase::eval::{eval_ucq, is_answer_ucq};
-use omq_chase::{Budget, HomStats};
-use omq_guarded::{guarded_certain_answers, Completeness, GuardedConfig};
+use omq_chase::{Budget, Guarantee, HomStats};
+use omq_guarded::{guarded_certain_answers, GuardedConfig};
 use omq_model::{ConstId, Instance, Omq, Vocabulary};
 use omq_rewrite::{DirectRewrite, RewriteSource, XRewriteConfig};
 
@@ -34,7 +34,7 @@ pub struct EvalConfig {
 impl EvalConfig {
     /// Installs `budget` on every strategy config, so whichever engine the
     /// dispatcher picks honours the same deadline/cancel token. Expiry
-    /// degrades the guarantee to [`EvalGuarantee::SoundLowerBound`].
+    /// caps the guarantee at `Cap::Deadline`.
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.chase.budget = budget.clone();
         self.rewrite.budget = budget.clone();
@@ -43,25 +43,15 @@ impl EvalConfig {
     }
 }
 
-/// The guarantee attached to an evaluation result.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum EvalGuarantee {
-    /// The answer set equals `Q(D)`.
-    Exact,
-    /// The answers are sound but possibly incomplete: a budget ran out, or
-    /// the guarded engine stopped on its stabilization heuristic (see
-    /// `omq_guarded::Completeness::Stabilized`), after which a match can
-    /// still appear deeper.
-    SoundLowerBound,
-}
-
 /// An evaluation result.
 #[derive(Clone, Debug)]
 pub struct EvalOutcome {
     /// The computed certain answers (always sound).
     pub answers: HashSet<Vec<ConstId>>,
-    /// The guarantee achieved.
-    pub guarantee: EvalGuarantee,
+    /// `Exact` when the answer set equals `Q(D)`; otherwise the answers
+    /// are sound but possibly incomplete, and the cap names the budget or
+    /// heuristic that stopped the strategy.
+    pub guarantee: Guarantee,
     /// The language the dispatcher detected.
     pub language: OmqLanguage,
 }
@@ -94,64 +84,32 @@ pub fn evaluate_in_language(
     src: &mut dyn RewriteSource,
     language: OmqLanguage,
 ) -> EvalOutcome {
-    match language {
-        OmqLanguage::Empty => EvalOutcome {
-            answers: eval_ucq(&omq.query, db),
-            guarantee: EvalGuarantee::Exact,
-            language,
-        },
+    let (answers, guarantee) = match language {
+        OmqLanguage::Empty => (eval_ucq(&omq.query, db), Guarantee::Exact),
         OmqLanguage::NonRecursive => {
             let out =
                 stratified_chase(db, &omq.sigma, voc, &cfg.chase).expect("detected non-recursive");
-            EvalOutcome {
-                answers: eval_ucq(&omq.query, &out.instance),
-                guarantee: if out.complete {
-                    EvalGuarantee::Exact
-                } else {
-                    EvalGuarantee::SoundLowerBound
-                },
-                language,
-            }
+            (eval_ucq(&omq.query, &out.instance), out.guarantee)
         }
         OmqLanguage::Linear | OmqLanguage::Sticky => {
             // Partial rewritings are sound, so a truncated artifact still
             // yields a lower bound.
             let art = src.rewrite(omq, voc, &cfg.rewrite);
-            EvalOutcome {
-                answers: eval_ucq(&art.ucq, db),
-                guarantee: if art.complete {
-                    EvalGuarantee::Exact
-                } else {
-                    EvalGuarantee::SoundLowerBound
-                },
-                language,
-            }
+            (eval_ucq(&art.ucq, db), art.guarantee)
         }
         OmqLanguage::Guarded => {
             let r = guarded_certain_answers(omq, db, voc, &cfg.guarded);
-            EvalOutcome {
-                answers: r.answers,
-                guarantee: match r.completeness {
-                    Completeness::Exact => EvalGuarantee::Exact,
-                    Completeness::Stabilized | Completeness::LowerBound => {
-                        EvalGuarantee::SoundLowerBound
-                    }
-                },
-                language,
-            }
+            (r.answers, r.guarantee)
         }
         OmqLanguage::Full | OmqLanguage::General => {
             let out = chase(db, &omq.sigma, voc, &cfg.chase);
-            EvalOutcome {
-                answers: eval_ucq(&omq.query, &out.instance),
-                guarantee: if out.complete {
-                    EvalGuarantee::Exact
-                } else {
-                    EvalGuarantee::SoundLowerBound
-                },
-                language,
-            }
+            (eval_ucq(&omq.query, &out.instance), out.guarantee)
         }
+    };
+    EvalOutcome {
+        answers,
+        guarantee,
+        language,
     }
 }
 
@@ -188,13 +146,10 @@ pub fn is_certain_answer(
         };
     }
     let out = evaluate(omq, db, voc, cfg);
-    if out.answers.contains(tuple) {
-        Trool::True
-    } else {
-        match out.guarantee {
-            EvalGuarantee::Exact => Trool::False,
-            EvalGuarantee::SoundLowerBound => Trool::Unknown,
-        }
+    match out.guarantee {
+        _ if out.answers.contains(tuple) => Trool::True,
+        Guarantee::Exact => Trool::False,
+        Guarantee::Capped(_) => Trool::Unknown,
     }
 }
 
@@ -235,7 +190,7 @@ mod tests {
         let d = db(&mut voc, &["T(a)"]);
         let out = evaluate(&q, &d, &mut voc, &EvalConfig::default());
         assert_eq!(out.language, OmqLanguage::Linear);
-        assert_eq!(out.guarantee, EvalGuarantee::Exact);
+        assert_eq!(out.guarantee, Guarantee::Exact);
         assert_eq!(out.answers.len(), 1);
     }
 
@@ -249,7 +204,7 @@ mod tests {
         let d = db(&mut voc, &["A(a)", "B(a)", "A(b)"]);
         let out = evaluate(&q, &d, &mut voc, &EvalConfig::default());
         assert_eq!(out.language, OmqLanguage::NonRecursive);
-        assert_eq!(out.guarantee, EvalGuarantee::Exact);
+        assert_eq!(out.guarantee, Guarantee::Exact);
         assert_eq!(out.answers.len(), 1);
     }
 
@@ -265,7 +220,7 @@ mod tests {
         assert_eq!(out.language, OmqLanguage::Guarded);
         // The tree-expanding chase never terminates, so the run ends on the
         // stabilization heuristic, which proves nothing beyond soundness.
-        assert_eq!(out.guarantee, EvalGuarantee::SoundLowerBound);
+        assert_eq!(out.guarantee, Guarantee::Capped(omq_chase::Cap::Window));
         assert_eq!(out.answers.len(), 1);
     }
 
@@ -295,7 +250,7 @@ mod tests {
         let d = db(&mut voc, &["E(a,b)", "E(b,c)"]);
         let out = evaluate(&q, &d, &mut voc, &EvalConfig::default());
         assert_eq!(out.language, OmqLanguage::Full);
-        assert_eq!(out.guarantee, EvalGuarantee::Exact);
+        assert_eq!(out.guarantee, Guarantee::Exact);
         assert_eq!(out.answers.len(), 3);
     }
 }

@@ -24,7 +24,7 @@
 use std::collections::HashSet;
 use std::ops::ControlFlow;
 
-use omq_chase::{chase, ChaseConfig, DerivationStep, HomStats, JoinPlan};
+use omq_chase::{chase, ChaseConfig, DerivationStep, Guarantee, HomStats, JoinPlan};
 use omq_model::display::{render_atom, render_cq, render_term, render_tgd};
 use omq_model::{Atom, ConstId, Instance, Omq, Term, Ucq, VarId, Vocabulary};
 use omq_rewrite::{DirectRewrite, RewriteSource, XRewriteConfig};
@@ -192,7 +192,7 @@ fn explain_witness(
                 derivation: render_steps,
             });
         }
-        if out.complete {
+        if out.guarantee == Guarantee::Exact {
             // Fixpoint reached without a match: deeper chases cannot help.
             return None;
         }
@@ -300,9 +300,8 @@ fn explain_contained(
                 ..cfg.rewrite.clone()
             };
             let art = src.rewrite(q1, voc, &rw_cfg);
-            let complete = art.complete;
             got = art.ucq.disjuncts;
-            if complete {
+            if art.guarantee == Guarantee::Exact {
                 break;
             }
         }

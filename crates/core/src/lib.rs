@@ -37,8 +37,8 @@ pub use containment::{
     ContainmentOutcome, ContainmentResult, Witness,
 };
 pub use evaluate::{
-    evaluate, evaluate_in_language, evaluate_with, is_certain_answer, EvalConfig, EvalGuarantee,
-    EvalOutcome, Trool,
+    evaluate, evaluate_in_language, evaluate_with, is_certain_answer, EvalConfig, EvalOutcome,
+    Trool,
 };
 pub use explain::{
     explain, explain_with, ContainmentCoverage, DisjunctCoverage, ExplainDetail, ExplainStep,

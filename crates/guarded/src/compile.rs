@@ -11,11 +11,11 @@
 //! layers cache the artifact under the OMQ's canonical key and warm
 //! requests skip automaton construction entirely.
 
-use omq_chase::Budget;
+use omq_chase::{Budget, Guarantee};
 use omq_model::{Omq, Term, Vocabulary};
 
 use crate::encoding::{consistency_automaton_downward, encode, is_consistent, NodeLabel};
-use crate::guarded_eval::{guarded_certain_answers, Completeness, GuardedConfig};
+use crate::guarded_eval::{guarded_certain_answers, GuardedConfig};
 use crate::unravel::unravel;
 
 /// Budgets and shape bounds for [`compile_encoding`].
@@ -27,8 +27,8 @@ pub struct EncodingConfig {
     /// parallelism, `1` = sequential).
     pub threads: usize,
     /// Wall-clock/cancellation budget for the emptiness check. Expiry
-    /// leaves [`EncodingArtifact::nonempty`] undecided (`None`) and marks
-    /// the artifact incomplete.
+    /// leaves [`EncodingArtifact::nonempty`] undecided (`None`), so the
+    /// artifact is not [`complete`](EncodingArtifact::complete).
     pub budget: Budget,
 }
 
@@ -66,15 +66,19 @@ pub struct EncodingArtifact {
     /// Is the OMQ satisfiable? Decided on the critical instance (every
     /// `S`-database maps homomorphically into it and OMQs are closed under
     /// homomorphisms, so `Q` is satisfiable iff `Q(D_crit) ≠ ∅`) with the
-    /// stabilizing guarded engine under the compile budget. `Some(false)`
-    /// licenses the trivial-containment short-circuit in the anytime ladder
-    /// (`Q₁ ⊑ Q₂` vacuously when `Q₁` holds on no database); `None` when the
-    /// budget expired before the guarded chase stabilized.
+    /// guarded engine under the compile budget. `Some(false)` licenses the
+    /// trivial-containment short-circuit in the anytime ladder (`Q₁ ⊑ Q₂`
+    /// vacuously when `Q₁` holds on no database); `None` when no answer was
+    /// found and the guarded chase was capped before its fixpoint.
     pub critical_satisfiable: Option<bool>,
-    /// True iff every check ran to completion; caches store complete
-    /// artifacts only (an incomplete one depends on the budget that
-    /// truncated it).
-    pub complete: bool,
+}
+
+impl EncodingArtifact {
+    /// Did every check run to completion? Caches store complete artifacts
+    /// only (an incomplete one depends on the budget that truncated it).
+    pub fn complete(&self) -> bool {
+        self.nonempty.is_some() && self.critical_satisfiable.is_some()
+    }
 }
 
 /// Runs the critical-instance → unravel → encode → 2WAPA → NTA pipeline
@@ -127,9 +131,9 @@ pub fn compile_encoding(
         .map(|empty| !empty);
     // Critical-instance satisfiability (see `EncodingArtifact` docs): an
     // empty answer set certifies that the OMQ holds on *no* database only
-    // when the guarded chase of `D_crit` terminated (`Exact`). A
-    // `Stabilized` run may have stopped before a deep match, so it decides
-    // nothing.
+    // when the guarded chase of `D_crit` terminated (`Exact`). A capped run
+    // (a `Window` stop included) may have stopped before a deep match, so
+    // it decides nothing.
     let critical_satisfiable = if cfg.budget.expired() {
         // The guarded engine only polls the budget at round boundaries, so a
         // budget that is already spent could still "decide" a tiny critical
@@ -141,13 +145,10 @@ pub fn compile_encoding(
             ..GuardedConfig::default()
         };
         let ans = guarded_certain_answers(omq, &crit, voc, &gcfg);
-        if !ans.answers.is_empty() {
-            Some(true)
-        } else {
-            match ans.completeness {
-                Completeness::Exact => Some(false),
-                Completeness::Stabilized | Completeness::LowerBound => None,
-            }
+        match ans.guarantee {
+            _ if !ans.answers.is_empty() => Some(true),
+            Guarantee::Exact => Some(false),
+            Guarantee::Capped(_) => None,
         }
     };
     omq_obs::counter("guarded.encodings_compiled", 1);
@@ -159,7 +160,6 @@ pub fn compile_encoding(
         nta_transitions: nta.transitions.len(),
         nta,
         consistent,
-        complete: nonempty.is_some() && critical_satisfiable.is_some(),
         nonempty,
         critical_satisfiable,
     })
@@ -194,7 +194,7 @@ mod tests {
             Some(true),
             "q holds on the critical instance"
         );
-        assert!(art.complete);
+        assert!(art.complete());
         assert!(art.ctree_nodes >= 1);
         assert!(art.alphabet_size >= 1);
         assert!(art.nta_states >= 1);
@@ -233,7 +233,7 @@ mod tests {
             art.critical_satisfiable, None,
             "satisfiability is undecided under an expired budget"
         );
-        assert!(!art.complete, "incomplete artifacts must not be cached");
+        assert!(!art.complete(), "incomplete artifacts must not be cached");
         assert!(art.consistent, "consistency check is budget-independent");
     }
 

@@ -3,22 +3,21 @@
 //!
 //! Strategy: run the restricted chase level-by-level (by null depth) and
 //! watch the set of *atom types* — atoms with their nulls canonicalized per
-//! atom. Under guarded tgds every atom's terms come from a single guard
-//! atom plus fresh nulls, so once no new type appears for a window of
-//! consecutive depth levels the deeper chase only repeats existing
-//! neighborhoods up to isomorphism (the regularity exploited by
-//! Calì–Gottlob–Kifer's "Taming the infinite chase"); a match of a CQ with
-//! `|q|` atoms spans at most `|q|` levels, so evaluating after
-//! stabilization plus a `|q| + 1` window is complete. If the chase reaches
-//! an actual fixpoint first, the answer is exact outright.
+//! atom. The run stops when no new type has appeared for a window of
+//! `|q| + 1` consecutive depth levels. That stop is a heuristic, not a
+//! proof: the regularity Calì–Gottlob–Kifer's "Taming the infinite chase"
+//! exploits is over the types of *guarded sets*, not of single atoms, so a
+//! match can first appear past the window (see [`Cap::Window`]). Only a
+//! chase that reaches an actual fixpoint gives an exact answer.
 //!
-//! Every returned answer is *sound* (certain); the [`Completeness`] tag
-//! states which guarantee the run achieved.
+//! Every returned answer is *sound* (certain); the [`Guarantee`] states
+//! whether the run was exact or which cap stopped it.
 
 use std::collections::HashSet;
 
 use omq_chase::chase::{chase, ChaseConfig};
 use omq_chase::eval::eval_ucq;
+use omq_chase::{Cap, Guarantee};
 use omq_model::{Atom, ConstId, Instance, Omq, Term, Vocabulary};
 
 /// Budgets for guarded evaluation.
@@ -32,8 +31,8 @@ pub struct GuardedConfig {
     /// theory sketch above).
     pub window: Option<usize>,
     /// Wall-clock/cancellation budget, propagated into every inner chase
-    /// run and polled between deepening rounds. Expiry degrades the result
-    /// to `Completeness::LowerBound` (sound, possibly incomplete).
+    /// run and polled between deepening rounds. Expiry caps the result at
+    /// `Cap::Deadline` (sound, possibly incomplete).
     pub budget: omq_chase::Budget,
 }
 
@@ -48,28 +47,15 @@ impl Default for GuardedConfig {
     }
 }
 
-/// The guarantee attached to a guarded evaluation result.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Completeness {
-    /// The chase terminated: the answer equals `Q(D)`.
-    Exact,
-    /// The single-atom type set stopped changing for the full window. This
-    /// is a heuristic, not a proof: a match can first appear deeper (a
-    /// guarded 4-bit counter reaches `1111` on one null at depth 15, after
-    /// every atom type exists by depth 8), so the answer is only a sound
-    /// subset of `Q(D)`, like [`Completeness::LowerBound`].
-    Stabilized,
-    /// Budgets exhausted first: the answer is a sound subset of `Q(D)`.
-    LowerBound,
-}
-
 /// Result of guarded evaluation.
 #[derive(Clone, Debug)]
 pub struct GuardedAnswers {
     /// The certain answers computed (always sound).
     pub answers: HashSet<Vec<ConstId>>,
-    /// Which guarantee the run achieved.
-    pub completeness: Completeness,
+    /// `Exact` when the chase terminated (the answer equals `Q(D)`),
+    /// otherwise the cap that stopped the run: `Window`, `Depth`, `Steps`
+    /// or `Deadline`.
+    pub guarantee: Guarantee,
     /// Null depth actually chased to.
     pub depth_used: usize,
 }
@@ -122,23 +108,20 @@ pub fn guarded_certain_answers(
         chase_cfg.budget = cfg.budget.clone();
         let out = chase(db, &omq.sigma, voc, &chase_cfg);
         let answers = eval_ucq(&omq.query, &out.instance);
-        if out.complete {
-            return GuardedAnswers {
-                answers,
-                completeness: Completeness::Exact,
-                depth_used: depth,
-            };
+        let done = move |guarantee| GuardedAnswers {
+            answers,
+            guarantee,
+            depth_used: depth,
+        };
+        if out.guarantee == Guarantee::Exact {
+            return done(Guarantee::Exact);
         }
         // An expired budget truncates the chase mid-level; the type set of
         // the truncated instance can coincide with the previous level's and
         // masquerade as stabilization, so the check must come first. The
         // answers found so far stay sound — degrade, don't discard.
         if cfg.budget.expired() {
-            return GuardedAnswers {
-                answers,
-                completeness: Completeness::LowerBound,
-                depth_used: depth,
-            };
+            return done(Guarantee::Capped(Cap::Deadline));
         }
         let types = type_set(&out.instance);
         match &prev_types {
@@ -147,18 +130,13 @@ pub fn guarded_certain_answers(
         }
         prev_types = Some(types);
         if stable_for >= window {
-            return GuardedAnswers {
-                answers,
-                completeness: Completeness::Stabilized,
-                depth_used: depth,
-            };
+            return done(Guarantee::Capped(Cap::Window));
         }
-        if depth >= cfg.max_depth || out.steps >= cfg.max_steps {
-            return GuardedAnswers {
-                answers,
-                completeness: Completeness::LowerBound,
-                depth_used: depth,
-            };
+        if out.steps >= cfg.max_steps {
+            return done(Guarantee::Capped(Cap::Steps));
+        }
+        if depth >= cfg.max_depth {
+            return done(Guarantee::Capped(Cap::Depth));
         }
         depth += 1;
     }
@@ -204,7 +182,7 @@ mod tests {
         );
         let d = db(&mut voc, &["Emp(alice)"]);
         let r = guarded_certain_answers(&q, &d, &mut voc, &GuardedConfig::default());
-        assert_eq!(r.completeness, Completeness::Exact);
+        assert_eq!(r.guarantee, Guarantee::Exact);
         assert_eq!(r.answers.len(), 1);
     }
 
@@ -224,7 +202,10 @@ mod tests {
         // Keep only schema preds (Z9 sneaks in an unrelated constant).
         let d = d.restrict_to_schema(&q.data_schema);
         let r = guarded_certain_answers(&q, &d, &mut voc, &GuardedConfig::default());
-        assert_ne!(r.completeness, Completeness::LowerBound);
+        assert!(matches!(
+            r.guarantee,
+            Guarantee::Exact | Guarantee::Capped(Cap::Window)
+        ));
         let oracle =
             omq_rewrite::certain_answers_via_rewriting(&q, &d, &mut voc, &Default::default())
                 .unwrap();
@@ -244,13 +225,16 @@ mod tests {
         );
         let d = db(&mut voc, &["G(a,b)", "P(a)"]);
         let r = guarded_certain_answers(&q, &d, &mut voc, &GuardedConfig::default());
-        assert_ne!(r.completeness, Completeness::LowerBound);
+        assert!(matches!(
+            r.guarantee,
+            Guarantee::Exact | Guarantee::Capped(Cap::Window)
+        ));
         // Chain grows G(a,b), G(b,⊥1), G(⊥1,⊥2), ...: q holds.
         assert_eq!(r.answers.len(), 1);
     }
 
-    /// Negative case: the query never becomes true, and stabilization
-    /// correctly reports the empty answer as complete.
+    /// Negative case: the query never becomes true; the run stops at the
+    /// stabilization window, which is not a proof of completeness.
     #[test]
     fn stabilized_negative_answer() {
         let (q, mut voc) = omq(
@@ -261,7 +245,7 @@ mod tests {
         );
         let d = db(&mut voc, &["P(a)"]);
         let r = guarded_certain_answers(&q, &d, &mut voc, &GuardedConfig::default());
-        assert_eq!(r.completeness, Completeness::Stabilized);
+        assert_eq!(r.guarantee, Guarantee::Capped(Cap::Window));
         assert!(r.answers.is_empty());
     }
 
@@ -280,11 +264,18 @@ mod tests {
             ..Default::default()
         };
         let r = guarded_certain_answers(&q, &d, &mut voc, &cfg);
-        assert_eq!(r.completeness, Completeness::LowerBound);
+        assert_eq!(r.guarantee, Guarantee::Capped(Cap::Depth));
+        // A step budget that runs out inside the first level is named too.
+        let cfg = GuardedConfig {
+            max_steps: 1,
+            ..cfg
+        };
+        let r = guarded_certain_answers(&q, &d, &mut voc, &cfg);
+        assert_eq!(r.guarantee, Guarantee::Capped(Cap::Steps));
     }
 
-    /// An expired wall-clock budget must degrade to `LowerBound`, never to
-    /// a (false) `Stabilized`/`Exact` claim over a truncated chase.
+    /// An expired wall-clock budget must be reported as `Cap::Deadline`,
+    /// never as a window stop or an `Exact` claim over a truncated chase.
     #[test]
     fn expired_budget_degrades_to_lower_bound() {
         let (q, mut voc) = omq(
@@ -299,7 +290,7 @@ mod tests {
             ..Default::default()
         };
         let r = guarded_certain_answers(&q, &d, &mut voc, &cfg);
-        assert_eq!(r.completeness, Completeness::LowerBound);
+        assert_eq!(r.guarantee, Guarantee::Capped(Cap::Deadline));
         assert!(r.answers.is_empty(), "sound: nothing falsely derived");
     }
 

@@ -6,13 +6,12 @@
 //! Lemma 23, and a guarded evaluation engine.
 //!
 //! Under guarded tgds the chase has bounded treewidth but need not
-//! terminate, so evaluation works with a depth-budgeted chase plus a
-//! *type-stabilization* criterion in the spirit of Calì–Gottlob–Kifer's
-//! "Taming the infinite chase": once the set of isomorphism types of derived
-//! atoms stops growing for a window of `|q| + 1` consecutive depth levels,
-//! deeper levels only repeat existing patterns up to isomorphism and cannot
-//! create new query matches. The engine reports exactly which guarantee the
-//! returned answer carries ([`guarded_eval::Completeness`]).
+//! terminate, so evaluation works with a depth-budgeted chase that stops
+//! once the set of isomorphism types of derived atoms has not grown for a
+//! window of `|q| + 1` consecutive depth levels. That window is a heuristic
+//! (a match can first appear deeper), so only a terminated chase is exact:
+//! the engine reports the guarantee the returned answer carries as an
+//! `omq_chase::Guarantee`, naming the cap that stopped it.
 
 pub mod compile;
 pub mod ctree;
@@ -26,6 +25,6 @@ pub use ctree::CTree;
 pub use encoding::{
     consistency_automaton_downward, decode, encode, is_consistent, Name, NodeLabel,
 };
-pub use guarded_eval::{guarded_certain_answers, Completeness, GuardedAnswers, GuardedConfig};
+pub use guarded_eval::{guarded_certain_answers, GuardedAnswers, GuardedConfig};
 pub use tree_decomposition::TreeDecomposition;
 pub use unravel::{unravel, Unraveling};

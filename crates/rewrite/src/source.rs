@@ -13,41 +13,42 @@
 //!
 //! A source must return an artifact *semantically identical* to what
 //! [`xrewrite`] would produce for the same `(omq, cfg)` — same disjunct
-//! list, same completeness flag — because callers rely on disjunct order
-//! (witness replay) and on `complete` for their exactness guarantees. A
+//! list, same guarantee — because callers rely on disjunct order (witness
+//! replay) and on `guarantee` for their exactness claims. A
 //! cache keyed on anything coarser than the full rewriting-relevant input
 //! (ontology, query, data schema, config knobs) breaks this contract.
 
+use omq_chase::Guarantee;
 use omq_model::{Omq, Ucq, Vocabulary};
 
 use crate::xrewrite::{xrewrite, RewriteError, XRewriteConfig};
 
 /// A (possibly partial) UCQ rewriting, as consumed by containment and
 /// evaluation: the disjunct list plus whether it is the *complete* rewriting
-/// (a partial one is sound — every disjunct is a correct rewriting — but
+/// (a capped one is sound — every disjunct is a correct rewriting — but
 /// proves no negative facts).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RewriteArtifact {
     /// The UCQ rewriting over the data schema.
     pub ucq: Ucq,
-    /// Did the rewriting reach its fixpoint? `false` means a budget (query
-    /// count or wall clock) truncated it.
-    pub complete: bool,
+    /// `Exact` when the rewriting reached its fixpoint, otherwise the cap
+    /// (`Queries` or `Deadline`) that truncated it.
+    pub guarantee: Guarantee,
 }
 
 impl RewriteArtifact {
     /// Collapses an [`xrewrite`] result into the artifact form: both the
     /// `Ok` and the budget-exceeded paths carry a sound UCQ, they differ
-    /// only in completeness.
+    /// only in their guarantee.
     pub fn from_result(r: Result<crate::RewriteOutput, RewriteError>) -> RewriteArtifact {
         match r {
             Ok(out) => RewriteArtifact {
                 ucq: out.ucq,
-                complete: true,
+                guarantee: Guarantee::Exact,
             },
-            Err(RewriteError::BudgetExceeded(partial)) => RewriteArtifact {
+            Err(RewriteError::BudgetExceeded(cap, partial)) => RewriteArtifact {
                 ucq: partial.ucq,
-                complete: false,
+                guarantee: Guarantee::Capped(cap),
             },
         }
     }
@@ -101,7 +102,7 @@ mod tests {
         let cfg = XRewriteConfig::default();
         let direct = xrewrite(&omq, &mut voc.clone(), &cfg).unwrap();
         let art = DirectRewrite.rewrite(&omq, &mut voc, &cfg);
-        assert!(art.complete);
+        assert_eq!(art.guarantee, Guarantee::Exact);
         assert_eq!(art.ucq, direct.ucq);
     }
 }

@@ -82,8 +82,8 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use omq_chase::{
-    cq_canonical_form, cq_core_budgeted_report, cq_isomorphic, runtime, Budget, CqCanonicalForm,
-    HomStats, SubsumptionSieve,
+    cq_canonical_form, cq_core_budgeted_report, cq_isomorphic, runtime, Budget, Cap,
+    CqCanonicalForm, HomStats, SubsumptionSieve,
 };
 use omq_model::{mgu_refs, Atom, Cq, Omq, PredId, Substitution, Term, Tgd, Ucq, VarId, Vocabulary};
 
@@ -101,6 +101,14 @@ const PRUNE_INTERVAL: usize = 256;
 
 /// Endomorphism budget per core-folding round (see `cq_core_budgeted`).
 const CORE_BUDGET: usize = 2_000;
+
+/// Maximum number of atoms resolved simultaneously against one tgd head
+/// (the size of the set `S` in Def. 6/7). Simultaneous resolution of `k`
+/// atoms is only needed when a single chase atom matches `k` query atoms
+/// at once; beyond small `k` this is vanishingly rare, while enumerating
+/// all `2^pool` subsets dominates the runtime on queries with many
+/// same-predicate atoms.
+const MAX_SUBSET: usize = 4;
 
 /// How generated queries are deduplicated (the `≃` check of Algorithm 1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,24 +130,6 @@ pub struct XRewriteConfig {
     /// non-UCQ-rewritable inputs). Enforced as a hard cap: the run is
     /// truncated on the first query that would cross it.
     pub max_queries: usize,
-    /// Maximum number of atoms allowed in an intermediate CQ (prevents
-    /// blow-ups from pathological factorizations); `None` = unbounded.
-    pub max_atoms: Option<usize>,
-    /// Maximum number of atoms resolved simultaneously against one tgd
-    /// head (the size of the set `S` in Def. 6/7). Simultaneous resolution
-    /// of `k` atoms is only needed when a single chase atom matches `k`
-    /// query atoms at once; beyond small `k` this is vanishingly rare,
-    /// while enumerating all `2^pool` subsets dominates the runtime on
-    /// queries with many same-predicate atoms.
-    pub max_subset: usize,
-    /// Canonicalize every generated CQ to its core before deduplication.
-    ///
-    /// Resolution can produce syntactically growing but semantically
-    /// equivalent queries (e.g. accumulating `P(y,z), P(y,z')` pairs under
-    /// recursive sticky sets); coring collapses them, which keeps the
-    /// procedure within the theoretical bounds of Props. 12/14/17 and is
-    /// semantics-preserving (the core is homomorphically equivalent).
-    pub canonicalize: bool,
     /// Duplicate-detection strategy (see [`DedupStrategy`]).
     pub dedup: DedupStrategy,
     /// Drop output disjuncts homomorphically subsumed by another disjunct.
@@ -148,11 +138,6 @@ pub struct XRewriteConfig {
     /// list — callers that ladder budgets and skip already-tested prefixes
     /// must turn this off.
     pub prune_subsumed: bool,
-    /// Reuse each sieve entry's compiled join plan across subsumption
-    /// probes instead of recompiling per check. Purely a performance knob:
-    /// the surviving disjunct list is bit-identical either way (only the
-    /// `plans_compiled`/`plan_cache_hits` counters differ).
-    pub plan_cache: bool,
     /// Worker threads for the per-round frontier expansion. `0` means "use
     /// the machine's available parallelism"; `1` forces the sequential
     /// path. Any setting produces bit-identical output.
@@ -169,12 +154,8 @@ impl Default for XRewriteConfig {
     fn default() -> Self {
         XRewriteConfig {
             max_queries: 20_000,
-            max_atoms: None,
-            max_subset: 4,
-            canonicalize: true,
             dedup: DedupStrategy::Canonical,
             prune_subsumed: true,
-            plan_cache: true,
             threads: 0,
             budget: Budget::unlimited(),
         }
@@ -194,16 +175,17 @@ impl XRewriteConfig {
 /// Rewriting failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RewriteError {
-    /// The query budget was exhausted before the fixpoint; carries the
+    /// A budget stopped the run before the fixpoint: the query budget
+    /// (`Cap::Queries`) or the wall clock (`Cap::Deadline`). Carries the
     /// partial output (sound: every disjunct is a correct rewriting, the
     /// union may be incomplete). Boxed to keep the `Err` variant small.
-    BudgetExceeded(Box<RewriteOutput>),
+    BudgetExceeded(Cap, Box<RewriteOutput>),
 }
 
 impl fmt::Display for RewriteError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RewriteError::BudgetExceeded(out) => write!(
+            RewriteError::BudgetExceeded(_, out) => write!(
                 f,
                 "XRewrite budget exceeded after generating {} queries",
                 out.generated
@@ -225,8 +207,6 @@ pub struct RewriteStats {
     /// Candidate CQs produced by rewriting/factorization steps, before
     /// deduplication.
     pub candidates: usize,
-    /// Candidates discarded by the `max_atoms` budget.
-    pub atom_budget_skips: usize,
     /// Duplicates detected by the raw-form fast path: the *uncored*
     /// candidate's canonical form aliased a known entry slot, so the
     /// candidate was rejected without ever being cored.
@@ -265,7 +245,6 @@ impl RewriteStats {
         omq_obs::counters(&[
             ("rewrite.rounds", self.rounds as u64),
             ("rewrite.candidates", self.candidates as u64),
-            ("rewrite.atom_budget_skips", self.atom_budget_skips as u64),
             ("rewrite.dedup_hits_raw", self.dedup_hits_raw as u64),
             (
                 "rewrite.dedup_hits_canonical",
@@ -573,9 +552,8 @@ fn dedup_atoms(mut q: Cq) -> Cq {
 
 /// The worker-side dedup key of a candidate.
 enum CandKey {
-    /// Canonical strategy: the canonical form of the candidate as produced
-    /// (uncored unless `Candidate::finalized`); `None` when its symmetry
-    /// exceeded the labeling budget.
+    /// Canonical strategy: the canonical form of the uncored candidate;
+    /// `None` when its symmetry exceeded the labeling budget.
     Raw(Option<CqCanonicalForm>),
     /// Fingerprint strategy, or a candidate the selection rule defers: the
     /// fingerprint of the candidate as it will be stored.
@@ -590,9 +568,6 @@ struct Candidate {
     kind: Label,
     cq: Cq,
     key: CandKey,
-    /// `cq` needs no further coring (fingerprint mode, coring disabled, or
-    /// the rare worker-side coring forced by the `max_atoms` budget).
-    finalized: bool,
 }
 
 /// A candidate that survived deduplication, carrying the keys to register
@@ -613,20 +588,19 @@ struct Admitted {
 struct Expansion {
     candidates: Vec<Candidate>,
     seen: usize,
-    atom_skips: usize,
     core_exhaustions: usize,
     canonical_fallbacks: usize,
     /// The worker found the budget expired and skipped this entry. The
-    /// merge side ORs this into `truncated`, so a worker-side skip always
-    /// surfaces as `BudgetExceeded` — candidates are dropped loudly, never
-    /// silently.
+    /// merge side turns this into a `Cap::Deadline` truncation, so a
+    /// worker-side skip always surfaces as `BudgetExceeded` — candidates
+    /// are dropped loudly, never silently.
     expired: bool,
 }
 
 impl Expansion {
-    /// Normalizes a generated CQ (duplicate-atom removal; coring only when
-    /// a budget forces it — otherwise coring is deferred to the merge side),
-    /// applies the atom budget, and records it as a candidate.
+    /// Normalizes a generated CQ (duplicate-atom removal; coring is
+    /// deferred to the merge side except on the reference path) and records
+    /// it as a candidate.
     ///
     /// A candidate that still holds a selectable atom can never be an
     /// output disjunct. When the selection rule defers such candidates, it
@@ -636,65 +610,21 @@ impl Expansion {
     fn consider(&mut self, q: Cq, kind: Label, selection: &Selection, cfg: &XRewriteConfig) {
         self.seen += 1;
         let mut q = dedup_atoms(q);
-        if selection.defer_selected
-            && selection.selected(&q).is_some()
-            && cfg.max_atoms.is_none_or(|m| q.body.len() <= m)
-        {
-            let key = CandKey::Fp(fingerprint(&q));
-            self.candidates.push(Candidate {
-                kind,
-                cq: q,
-                key,
-                finalized: true,
-            });
-            return;
-        }
-        let mut finalized = !cfg.canonicalize;
-        let core_here = |q: &Cq, exh: &mut usize| {
-            let (core, exhausted) = cq_core_budgeted_report(q, CORE_BUDGET);
-            if exhausted {
-                *exh += 1;
-            }
-            core
-        };
-        if cfg.dedup == DedupStrategy::FingerprintIso {
+        let key = if selection.defer_selected && selection.selected(&q).is_some() {
+            CandKey::Fp(fingerprint(&q))
+        } else if cfg.dedup == DedupStrategy::FingerprintIso {
             // The reference path cores worker-side: its dedup key (the
             // fingerprint) must be computed on the final query.
-            if !finalized && !q.body.is_empty() {
-                q = core_here(&q, &mut self.core_exhaustions);
+            if !q.body.is_empty() {
+                let (core, exhausted) = cq_core_budgeted_report(&q, CORE_BUDGET);
+                self.core_exhaustions += usize::from(exhausted);
+                q = core;
             }
-            if cfg.max_atoms.is_some_and(|m| q.body.len() > m) {
-                self.atom_skips += 1;
-                return;
-            }
-            let key = CandKey::Fp(fingerprint(&q));
-            self.candidates.push(Candidate {
-                kind,
-                cq: q,
-                key,
-                finalized: true,
-            });
-            return;
-        }
-        // Canonical strategy: the atom budget compares against the *cored*
-        // size, so an oversized candidate is cored here (rare — the budget
-        // is off by default) and re-checked; within-budget candidates stay
-        // uncored, since coring never grows a query.
-        if !finalized && !q.body.is_empty() && cfg.max_atoms.is_some_and(|m| q.body.len() > m) {
-            q = core_here(&q, &mut self.core_exhaustions);
-            finalized = true;
-        }
-        if cfg.max_atoms.is_some_and(|m| q.body.len() > m) {
-            self.atom_skips += 1;
-            return;
-        }
-        let key = CandKey::Raw(cq_canonical_form(&q, SYMMETRY_BUDGET));
-        self.candidates.push(Candidate {
-            kind,
-            cq: q,
-            key,
-            finalized,
-        });
+            CandKey::Fp(fingerprint(&q))
+        } else {
+            CandKey::Raw(cq_canonical_form(&q, SYMMETRY_BUDGET))
+        };
+        self.candidates.push(Candidate { kind, cq: q, key });
     }
 }
 
@@ -736,7 +666,7 @@ fn admit(
         }
     }
     // Slow path: finalize (core) and re-probe with the final form.
-    let (cq, form, raw) = if cand.finalized || cand.cq.body.is_empty() {
+    let (cq, form, raw) = if cand.cq.body.is_empty() {
         (cand.cq, raw_form, None)
     } else {
         let (core, exhausted) = cq_core_budgeted_report(&cand.cq, CORE_BUDGET);
@@ -943,7 +873,6 @@ fn expand_entry(
         }
         return out;
     }
-    let max_subset = cfg.max_subset.max(1);
     for (t, expos) in renamed {
         let head = &t.head[0];
         let mut pool: Vec<usize> = Vec::new();
@@ -981,7 +910,7 @@ fn expand_entry(
             }
         }
         // --- ...then the multi-atom sets. ---
-        for_each_subset(&rw_pool, 2, max_subset, scratch, |s_idx| {
+        for_each_subset(&rw_pool, 2, MAX_SUBSET, scratch, |s_idx| {
             let mut atoms: Vec<&Atom> = s_idx.iter().map(|&i| &q.body[i]).collect();
             atoms.push(head);
             if let Some(gamma) = mgu_refs(&atoms) {
@@ -1015,7 +944,7 @@ fn expand_entry(
                 let occ: Vec<usize> = (0..q.body.len())
                     .filter(|&j| q.body[j].args.contains(&Term::Var(x)))
                     .collect();
-                if occ.len() < 2 || occ.len() > max_subset {
+                if occ.len() < 2 || occ.len() > MAX_SUBSET {
                     continue;
                 }
                 let ok = occ.iter().all(|&j| {
@@ -1101,7 +1030,8 @@ pub fn xrewrite(
     let mut stats = RewriteStats::default();
     let mut entries: Vec<Entry> = Vec::new();
     let mut index = DedupIndex::new();
-    let mut truncated = false;
+    // The cap that truncated the run, if any.
+    let mut cap: Option<Cap> = None;
 
     // Seed the worklist with the input disjuncts.
     {
@@ -1119,7 +1049,7 @@ pub fn xrewrite(
                 continue;
             };
             if entries.len() >= cfg.max_queries {
-                truncated = true;
+                cap = Some(Cap::Queries);
                 break;
             }
             let cq = index.register(adm, entries.len(), Label::Rewriting);
@@ -1140,7 +1070,7 @@ pub fn xrewrite(
     // r-labeled, data-schema-only) in entry order; `pending` buffers them
     // between flushes. Streaming through the sieve in a fixed order makes
     // the surviving list independent of the flush cadence.
-    let mut sieve = SubsumptionSieve::with_plan_cache(cfg.plan_cache);
+    let mut sieve = SubsumptionSieve::new();
     let mut pending: Vec<Cq> = Vec::new();
     let mut last_flush = 0usize;
     let flush = |sieve: &mut SubsumptionSieve, pending: &mut Vec<Cq>, stats: &mut RewriteStats| {
@@ -1161,9 +1091,9 @@ pub fn xrewrite(
     // in index order, so each round's frontier is the contiguous range
     // `[cursor, frontier_end)`.
     let mut cursor = 0usize;
-    while cursor < entries.len() && !truncated {
+    while cursor < entries.len() && cap.is_none() {
         if cfg.budget.expired() {
-            truncated = true;
+            cap = Some(Cap::Deadline);
             break;
         }
         stats.rounds += 1;
@@ -1213,10 +1143,11 @@ pub fn xrewrite(
                 pending.push(entries[idx].cq.clone());
             }
             stats.candidates += exp.seen;
-            stats.atom_budget_skips += exp.atom_skips;
             stats.core_budget_exhaustions += exp.core_exhaustions;
             stats.canonical_fallbacks += exp.canonical_fallbacks;
-            truncated |= exp.expired;
+            if exp.expired {
+                cap = Some(Cap::Deadline);
+            }
             for cand in exp.candidates {
                 let kind = cand.kind;
                 let rewriting_only = kind == Label::Rewriting;
@@ -1225,7 +1156,7 @@ pub fn xrewrite(
                     continue;
                 };
                 if entries.len() >= cfg.max_queries {
-                    truncated = true;
+                    cap = Some(Cap::Queries);
                     break;
                 }
                 match kind {
@@ -1239,7 +1170,7 @@ pub fn xrewrite(
                     explored: false,
                 });
             }
-            if truncated {
+            if cap.is_some() {
                 break;
             }
         }
@@ -1274,10 +1205,9 @@ pub fn xrewrite(
         factorization_steps,
         stats,
     };
-    if truncated {
-        Err(RewriteError::BudgetExceeded(Box::new(out)))
-    } else {
-        Ok(out)
+    match cap {
+        Some(cap) => Err(RewriteError::BudgetExceeded(cap, Box::new(out))),
+        None => Ok(out),
     }
 }
 
@@ -1349,38 +1279,44 @@ mod tests {
         assert!(!out.ucq.disjuncts.is_empty());
     }
 
-    /// The factorization example from the appendix: q = ∃x∃y∃z (R(x,y) ∧
-    /// R(x,z)) with σ = P(u,v) → ∃w R(w,u). Applicability fails on either
-    /// atom alone (x is shared and sits at the existential position), but
-    /// factorizing {R(x,y), R(x,z)} unifies y and z, after which the
-    /// rewriting step produces P(u,v).
+    /// The factorization example from the appendix, with both `R` atoms
+    /// kept apart by free variables: q(y,z) = ∃x (R(x,y) ∧ R(x,z)) with
+    /// σ = P(u,v) → ∃w R(w,u). Applicability fails on either atom alone
+    /// (x is shared and sits at the existential position), and coring keeps
+    /// both atoms (y and z are free), but factorizing {R(x,y), R(x,z)}
+    /// unifies y and z, after which the rewriting step produces P(y,v).
     #[test]
     fn factorization_unblocks_rewriting() {
         let (q, mut voc) = omq(
             "P(U,V) -> exists W . R(W,U)\n\
-             q :- R(X,Y), R(X,Z)\n",
+             q(Y,Z) :- R(X,Y), R(X,Z)\n",
             &["P"],
         );
-        // Without coring, the factorization step of Def. 7 is what unifies
-        // {R(x,y), R(x,z)} so the tgd becomes applicable.
-        let cfg = XRewriteConfig {
-            canonicalize: false,
-            ..Default::default()
-        };
-        let out = xrewrite(&q, &mut voc, &cfg).unwrap();
+        let out = xrewrite(&q, &mut voc, &XRewriteConfig::default()).unwrap();
         assert!(out.factorization_steps >= 1);
-        let p = voc.pred_id("P").unwrap();
-        let has_p = |out: &RewriteOutput| {
+        let has_p = |out: &RewriteOutput, voc: &Vocabulary| {
+            let p = voc.pred_id("P").unwrap();
             out.ucq
                 .disjuncts
                 .iter()
                 .any(|d| d.body.len() == 1 && d.body[0].pred == p)
         };
-        assert!(has_p(&out), "expected P(u,v) disjunct, got {:?}", out.ucq);
-        // With coring (the default) the redundant atom collapses up front
-        // and the same rewriting is reached without factorization.
+        assert!(
+            has_p(&out, &voc),
+            "expected P(y,v) disjunct, got {:?}",
+            out.ucq
+        );
+        // In the Boolean query q :- R(x,y), R(x,z) coring collapses the
+        // redundant atom up front, and the same rewriting is reached without
+        // factorization.
+        let (q, mut voc) = omq(
+            "P(U,V) -> exists W . R(W,U)\n\
+             q :- R(X,Y), R(X,Z)\n",
+            &["P"],
+        );
         let out2 = xrewrite(&q, &mut voc, &XRewriteConfig::default()).unwrap();
-        assert!(has_p(&out2));
+        assert_eq!(out2.factorization_steps, 0);
+        assert!(has_p(&out2, &voc));
     }
 
     /// Without factorization the blocked step must NOT fire: x is shared and
@@ -1457,7 +1393,8 @@ mod tests {
         );
         let r = xrewrite(&q, &mut voc, &XRewriteConfig::with_max_queries(25));
         match r {
-            Err(RewriteError::BudgetExceeded(out)) => {
+            Err(RewriteError::BudgetExceeded(cap, out)) => {
+                assert_eq!(cap, Cap::Queries);
                 assert!(out.generated <= 25, "hard cap overshot: {}", out.generated);
                 assert!(out.stats.rounds >= 1);
                 assert!(out.stats.candidates > 0);
@@ -1554,7 +1491,8 @@ mod tests {
             ..Default::default()
         };
         match xrewrite(&q, &mut voc, &cfg) {
-            Err(RewriteError::BudgetExceeded(out)) => {
+            Err(RewriteError::BudgetExceeded(cap, out)) => {
+                assert_eq!(cap, Cap::Deadline);
                 // The seeds were admitted before the first round poll.
                 assert!(out.generated >= 1);
             }

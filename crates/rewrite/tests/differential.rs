@@ -246,7 +246,7 @@ fn rewriting_differential_sweep() {
         };
         let base = match run(&case, &base_cfg) {
             Ok(out) => out,
-            Err(RewriteError::BudgetExceeded(_)) => {
+            Err(RewriteError::BudgetExceeded(..)) => {
                 budget_skips += 1;
                 continue;
             }
@@ -292,32 +292,6 @@ fn rewriting_differential_sweep() {
                 "case {case_no}: kernel counters differ at {threads} threads"
             );
         }
-
-        // (a') Plan-cache independence: disabling join-plan reuse in the
-        // subsumption sieve must not change any output byte or any
-        // deterministic counter — only the cache-hit counter collapses.
-        let nocache = run(
-            &case,
-            &XRewriteConfig {
-                plan_cache: false,
-                ..base_cfg.clone()
-            },
-        )
-        .unwrap_or_else(|_| panic!("case {case_no}: budget with plan cache off only"));
-        assert_eq!(
-            nocache.ucq.disjuncts, base.ucq.disjuncts,
-            "case {case_no}: disjuncts differ with plan cache off"
-        );
-        assert_eq!(nocache.generated, base.generated, "case {case_no}");
-        assert_eq!(nocache.rewrite_steps, base.rewrite_steps, "case {case_no}");
-        assert_eq!(
-            nocache.stats.subsumption_kills, base.stats.subsumption_kills,
-            "case {case_no}: kills differ with plan cache off"
-        );
-        assert_eq!(
-            nocache.stats.hom.plan_cache_hits, 0,
-            "case {case_no}: cache hits counted with plan cache off"
-        );
 
         // (b) The fingerprint + pairwise-isomorphism reference strategy
         // agrees with canonical-form dedup.
@@ -429,7 +403,7 @@ fn rewriting_agrees_with_chase_oracle() {
         };
         let out = match run(&case, &cfg) {
             Ok(out) => out,
-            Err(RewriteError::BudgetExceeded(_)) => {
+            Err(RewriteError::BudgetExceeded(..)) => {
                 budget_skips += 1;
                 continue;
             }

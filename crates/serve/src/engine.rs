@@ -44,10 +44,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-use omq_chase::{effective_threads, parallel_indexed, Budget};
+use omq_chase::{effective_threads, parallel_indexed, Budget, Guarantee};
 use omq_core::{
     contains_with, equivalent_with, evaluate_with, explain_with, ContainmentConfig,
-    ContainmentOutcome, ContainmentResult, EvalConfig, EvalGuarantee, ExplainDetail, OmqLanguage,
+    ContainmentOutcome, ContainmentResult, EvalConfig, ExplainDetail, OmqLanguage,
 };
 use omq_guarded::{compile_encoding, EncodingArtifact, EncodingConfig};
 use omq_model::display::render_atom;
@@ -239,6 +239,13 @@ struct CachingSource<'a> {
     alias: bool,
 }
 
+/// The `guarantee` field of both evaluate ops: `exact` for an exact answer
+/// set, `sound_lower_bound` for a capped one.
+fn guarantee_field(exact: bool) -> (String, Json) {
+    let text = if exact { "exact" } else { "sound_lower_bound" };
+    ("guarantee".to_owned(), Json::str(text))
+}
+
 /// The disk tier's file name for one cache key (stable across restarts of
 /// the same binary: both digests hash with fixed-key `DefaultHasher`s).
 fn artifact_file_key(key: &RewriteKey) -> String {
@@ -266,8 +273,11 @@ impl RewriteSource for CachingSource<'_> {
         let raw = DirectRewrite.rewrite(omq, voc, cfg);
         match PortableArtifact::of(&raw, voc) {
             Some(portable) => {
-                let art = portable.rehydrate(voc);
-                if raw.complete {
+                let art = RewriteArtifact {
+                    guarantee: raw.guarantee,
+                    ..portable.rehydrate(voc)
+                };
+                if raw.guarantee == Guarantee::Exact {
                     if let Some(disk) = self.disk {
                         disk.store(&artifact_file_key(&key), &portable);
                     }
@@ -1002,7 +1012,7 @@ impl Engine {
                 ..EncodingConfig::default()
             };
             let art = compile_encoding(&reg.omq, &mut voc.clone(), &cfg)?;
-            if art.complete {
+            if art.complete() {
                 self.encodings
                     .lock()
                     .unwrap()
@@ -1208,6 +1218,7 @@ impl Engine {
             alias: regs[0].alias_of.is_some(),
         };
         let out = evaluate_with(&regs[0].omq, &db, &mut voc, &cfg, &mut src);
+        let exact = out.guarantee == Guarantee::Exact;
         let mut answers: Vec<Vec<String>> = out
             .answers
             .iter()
@@ -1225,17 +1236,10 @@ impl Engine {
                 ),
             ),
             ("count".to_owned(), Json::num(answers.len())),
-            (
-                "guarantee".to_owned(),
-                Json::str(match out.guarantee {
-                    EvalGuarantee::Exact => "exact",
-                    EvalGuarantee::SoundLowerBound => "sound_lower_bound",
-                }),
-            ),
+            guarantee_field(exact),
             ("language".to_owned(), Json::str(out.language.to_string())),
         ];
-        let degraded = matches!(out.guarantee, EvalGuarantee::SoundLowerBound);
-        (Ok(fields), degraded && budget.expired())
+        (Ok(fields), !exact && budget.expired())
     }
 
     /// Store-backed evaluation: certain answers of the named OMQ over the
@@ -1289,14 +1293,7 @@ impl Engine {
                 ),
             ),
             ("count".to_owned(), Json::num(answers.len())),
-            (
-                "guarantee".to_owned(),
-                Json::str(if complete {
-                    "exact"
-                } else {
-                    "sound_lower_bound"
-                }),
-            ),
+            guarantee_field(complete),
             ("language".to_owned(), Json::str(language.to_string())),
             ("version".to_owned(), Json::num(version as usize)),
         ];

@@ -179,9 +179,6 @@ impl OmqKey {
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct RewriteCfgKey {
     max_queries: usize,
-    max_atoms: Option<usize>,
-    max_subset: usize,
-    canonicalize: bool,
     dedup_canonical: bool,
     prune_subsumed: bool,
 }
@@ -198,9 +195,6 @@ impl RewriteCfgKey {
     pub fn of(cfg: &XRewriteConfig) -> RewriteCfgKey {
         RewriteCfgKey {
             max_queries: cfg.max_queries,
-            max_atoms: cfg.max_atoms,
-            max_subset: cfg.max_subset,
-            canonicalize: cfg.canonicalize,
             dedup_canonical: cfg.dedup == DedupStrategy::Canonical,
             prune_subsumed: cfg.prune_subsumed,
         }

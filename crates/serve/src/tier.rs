@@ -21,6 +21,11 @@
 //!   XRewrite. Corrupt or truncated files degrade to a miss, never an
 //!   error.
 //!
+//! Only exact artifacts are cached or persisted, so the portable form
+//! carries no guarantee of its own: it rehydrates as `Guarantee::Exact`.
+//! The disk text keeps its `complete true` line; a file whose line reads
+//! anything else is corrupt (a miss).
+//!
 //! Determinism: the engine round-trips *every* artifact through the
 //! portable form — including freshly computed ones — so response bytes
 //! never depend on which tier (or no tier) served the artifact.
@@ -30,6 +35,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use omq_chase::Guarantee;
 use omq_model::{Atom, Cq, Term, Ucq, Vocabulary};
 use omq_rewrite::RewriteArtifact;
 
@@ -56,11 +62,10 @@ pub struct PortableCq {
     pub body: Vec<PortableAtom>,
 }
 
-/// A vocabulary-independent rewriting artifact.
+/// A vocabulary-independent (exact) rewriting artifact.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PortableArtifact {
     pub arity: usize,
-    pub complete: bool,
     pub disjuncts: Vec<PortableCq>,
 }
 
@@ -84,9 +89,10 @@ fn looks_like_var(name: &str) -> bool {
 }
 
 impl PortableArtifact {
-    /// Converts a raw artifact; `None` when it is not portable (a body
-    /// null from a truncated normalization, or a symbol name the text form
-    /// cannot carry).
+    /// Converts a raw artifact's disjuncts (its guarantee stays with the
+    /// caller); `None` when it is not portable (a body null from a
+    /// truncated normalization, or a symbol name the text form cannot
+    /// carry).
     pub fn of(art: &RewriteArtifact, voc: &Vocabulary) -> Option<PortableArtifact> {
         let mut disjuncts = Vec::with_capacity(art.ucq.disjuncts.len());
         for d in &art.ucq.disjuncts {
@@ -127,13 +133,13 @@ impl PortableArtifact {
         }
         Some(PortableArtifact {
             arity: art.ucq.arity,
-            complete: art.complete,
             disjuncts,
         })
     }
 
     /// Interns the artifact into `voc` (canonical variables as `V<k>`,
-    /// predicates and constants by name) and rebuilds the raw form.
+    /// predicates and constants by name) and rebuilds the raw form, an
+    /// exact artifact.
     pub fn rehydrate(&self, voc: &mut Vocabulary) -> RewriteArtifact {
         let disjuncts = self
             .disjuncts
@@ -161,7 +167,7 @@ impl PortableArtifact {
             .collect();
         RewriteArtifact {
             ucq: Ucq::new(self.arity, disjuncts),
-            complete: self.complete,
+            guarantee: Guarantee::Exact,
         }
     }
 
@@ -177,7 +183,7 @@ impl PortableArtifact {
     pub fn to_text(&self) -> String {
         let mut out = String::from("omq-artifact v1\n");
         out.push_str(&format!("arity {}\n", self.arity));
-        out.push_str(&format!("complete {}\n", self.complete));
+        out.push_str("complete true\n");
         for d in &self.disjuncts {
             let head: Vec<String> = d.head.iter().map(u32::to_string).collect();
             let atoms: Vec<String> = d
@@ -208,7 +214,9 @@ impl PortableArtifact {
             return None;
         }
         let arity: usize = lines.next()?.strip_prefix("arity ")?.parse().ok()?;
-        let complete: bool = lines.next()?.strip_prefix("complete ")?.parse().ok()?;
+        if lines.next()? != "complete true" {
+            return None;
+        }
         let mut disjuncts = Vec::new();
         for line in lines {
             if line.is_empty() {
@@ -271,11 +279,7 @@ impl PortableArtifact {
                 return None;
             }
         }
-        Some(PortableArtifact {
-            arity,
-            complete,
-            disjuncts,
-        })
+        Some(PortableArtifact { arity, disjuncts })
     }
 }
 
@@ -418,7 +422,7 @@ mod tests {
         (
             RewriteArtifact {
                 ucq,
-                complete: true,
+                guarantee: Guarantee::Exact,
             },
             voc,
         )
@@ -435,7 +439,7 @@ mod tests {
         // shape, canonical V* names, constants by original name.
         let mut fresh = Vocabulary::default();
         let back = p.rehydrate(&mut fresh);
-        assert!(back.complete);
+        assert_eq!(back.guarantee, Guarantee::Exact);
         assert_eq!(back.ucq.arity, 1);
         assert_eq!(back.ucq.disjuncts.len(), 2);
         assert_eq!(back.ucq.disjuncts[0].body.len(), 2);
@@ -457,6 +461,7 @@ mod tests {
             "omq-artifact v1\narity 1\ncomplete true\ncq 0 | R(V0",
             "omq-artifact v1\narity 1\ncomplete true\ncq 5 | R(V0,V1)\n",
             "omq-artifact v1\narity 1\ncomplete true\nnot a cq line\n",
+            "omq-artifact v1\narity 1\ncomplete false\ncq 0 | R(V0)\n",
         ] {
             assert!(PortableArtifact::from_text(bad).is_none(), "{bad:?}");
         }
@@ -479,7 +484,7 @@ mod tests {
         };
         let art = RewriteArtifact {
             ucq: Ucq::new(1, vec![cq]),
-            complete: true,
+            guarantee: Guarantee::Exact,
         };
         assert!(PortableArtifact::of(&art, &voc).is_none());
     }

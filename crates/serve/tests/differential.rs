@@ -3,7 +3,8 @@
 //! produce byte-identical responses, and those responses must agree with
 //! direct calls into the containment/evaluation APIs.
 
-use omq_core::{contains_with, ContainmentConfig, ContainmentResult, EvalConfig, EvalGuarantee};
+use omq_chase::Guarantee;
+use omq_core::{contains_with, ContainmentConfig, ContainmentResult, EvalConfig};
 use omq_model::display::render_atom;
 use omq_rewrite::DirectRewrite;
 use omq_serve::{parse_request, response_to_json, Engine, EngineConfig, Json, Registry};
@@ -218,7 +219,7 @@ fn serve_verdicts_match_direct_api_calls() {
                 };
                 ecfg.rewrite.threads = 1;
                 let out = omq_core::evaluate(&regd.omq, &db, &mut voc, &ecfg);
-                assert_eq!(out.guarantee, EvalGuarantee::Exact);
+                assert_eq!(out.guarantee, Guarantee::Exact);
                 let mut expect: Vec<Vec<String>> = out
                     .answers
                     .iter()

@@ -35,7 +35,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 
-use omq_chase::{chase, eval_ucq, resume_chase, ChaseConfig, DerivationStep};
+use omq_chase::{chase, eval_ucq, resume_chase, ChaseConfig, DerivationStep, Guarantee};
 use omq_model::{Atom, ConstId, Instance, PredId, Term, Tgd, Ucq, Vocabulary};
 
 /// A ground fact in code form: one [`Term::code`] per argument position.
@@ -393,7 +393,7 @@ impl VersionedStore {
 struct Fixpoint {
     version: u64,
     instance: Instance,
-    complete: bool,
+    guarantee: Guarantee,
     derivation: Vec<DerivationStep>,
 }
 
@@ -505,7 +505,10 @@ impl MaintainedStore {
             // incomplete one (earlier deadline expiry) restarts trigger
             // enumeration from 0 — head-satisfaction skips everything the
             // truncated run already justified.
-            let delta_start = if fp.complete { watermark } else { 0 };
+            let delta_start = match fp.guarantee {
+                Guarantee::Exact => watermark,
+                Guarantee::Capped(_) => 0,
+            };
             let _span = omq_obs::span("store.maintain.assert");
             let res = resume_chase(inst, delta_start, sigma, voc, &Self::recording(cfg));
             self.incremental_resumes += 1;
@@ -514,7 +517,7 @@ impl MaintainedStore {
             self.fixpoint = Some(Fixpoint {
                 version: out.version,
                 instance: res.instance,
-                complete: res.complete,
+                guarantee: res.guarantee,
                 derivation,
             });
         }
@@ -626,7 +629,7 @@ impl MaintainedStore {
         self.fixpoint = Some(Fixpoint {
             version: self.store.head(),
             instance: res.instance,
-            complete: res.complete,
+            guarantee: res.guarantee,
             derivation,
         });
     }
@@ -642,7 +645,7 @@ impl MaintainedStore {
     ) -> Result<(), StoreError> {
         let head = self.store.head();
         match self.fixpoint.take() {
-            Some(fp) if fp.version == head && fp.complete => {
+            Some(fp) if fp.version == head && fp.guarantee == Guarantee::Exact => {
                 self.fixpoint = Some(fp);
             }
             Some(fp) if fp.version == head => {
@@ -654,7 +657,7 @@ impl MaintainedStore {
                 self.fixpoint = Some(Fixpoint {
                     version: head,
                     instance: res.instance,
-                    complete: res.complete,
+                    guarantee: res.guarantee,
                     derivation,
                 });
             }
@@ -666,7 +669,7 @@ impl MaintainedStore {
                 self.fixpoint = Some(Fixpoint {
                     version: head,
                     instance: res.instance,
-                    complete: res.complete,
+                    guarantee: res.guarantee,
                     derivation: res.derivation,
                 });
             }
@@ -693,7 +696,7 @@ impl MaintainedStore {
             let fp = self.fixpoint.as_ref().expect("ensure_head installed it");
             Ok(Evaluation {
                 answers: eval_ucq(query, &fp.instance),
-                complete: fp.complete,
+                complete: fp.guarantee == Guarantee::Exact,
                 version,
             })
         } else {
@@ -701,7 +704,7 @@ impl MaintainedStore {
             let res = chase(&db, sigma, voc, cfg);
             Ok(Evaluation {
                 answers: eval_ucq(query, &res.instance),
-                complete: res.complete,
+                complete: res.guarantee == Guarantee::Exact,
                 version,
             })
         }
@@ -711,7 +714,7 @@ impl MaintainedStore {
     pub fn head_complete(&self) -> bool {
         self.fixpoint
             .as_ref()
-            .is_some_and(|fp| fp.version == self.store.head() && fp.complete)
+            .is_some_and(|fp| fp.version == self.store.head() && fp.guarantee == Guarantee::Exact)
     }
 }
 
@@ -905,7 +908,7 @@ mod tests {
         let scratch = {
             let db = ms.store().materialize(ms.head()).unwrap();
             let out = chase(&db, &sigma, &mut voc.clone(), &cfg);
-            assert!(out.complete);
+            assert_eq!(out.guarantee, Guarantee::Exact);
             eval_ucq(&q, &out.instance)
         };
         assert_eq!(sorted_answers(&inc.answers), sorted_answers(&scratch));

@@ -659,6 +659,9 @@ for bench in BENCH_chase.json BENCH_rewrite.json BENCH_serve.json BENCH_guarded.
     }
 done
 
+echo "==> source size: non-blank Rust lines before unit tests (information, not a gate)"
+scripts/src_lines.sh
+
 echo "==> bench diff vs committed baseline"
 python3 scripts/bench_diff.py || true
 
