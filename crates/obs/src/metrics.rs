@@ -488,9 +488,8 @@ impl MetricsRegistry {
     }
 }
 
-/// One scrape-time measurement. Producers hand these to
-/// [`render_prometheus`], which merges duplicate series (same name and
-/// label set) so per-shard contributions fold into one process view.
+/// One scrape-time measurement, handed to [`render_prometheus`]. Each
+/// series (name and label set) is produced once.
 #[derive(Clone, Debug)]
 pub struct Sample {
     pub name: &'static str,
@@ -516,39 +515,6 @@ impl Value {
             Value::Counter(_) => "counter",
             Value::Gauge(_) => "gauge",
             Value::Histogram { .. } => "histogram",
-        }
-    }
-
-    /// Folds `other` into `self`: counters, gauges and histogram buckets
-    /// add up, so per-shard shares of one series become its process total.
-    pub fn merge(&mut self, other: &Value) {
-        match (self, other) {
-            (Value::Counter(a), Value::Counter(b)) => *a += b,
-            (Value::Gauge(a), Value::Gauge(b)) => *a += b,
-            (
-                Value::Histogram {
-                    buckets: a,
-                    count: ac,
-                    sum_us: asum,
-                },
-                Value::Histogram {
-                    buckets: b,
-                    count: bc,
-                    sum_us: bsum,
-                },
-            ) => {
-                if a.len() < b.len() {
-                    a.resize(b.len(), 0);
-                }
-                for (x, y) in a.iter_mut().zip(b.iter()) {
-                    *x += y;
-                }
-                *ac += bc;
-                *asum += bsum;
-            }
-            // Mismatched types for one series is a producer bug; keep the
-            // first value rather than corrupting the scrape.
-            _ => {}
         }
     }
 }
@@ -587,23 +553,18 @@ fn fmt_f64(v: f64) -> String {
 }
 
 /// Render Prometheus text exposition (format 0.0.4). Series are sorted
-/// by (name, labels) and duplicates are merged, so output is
-/// deterministic regardless of producer order, and repeated scrapes of
-/// an idle server are byte-identical modulo gauge values.
+/// by (name, labels), so output is deterministic regardless of producer
+/// order, and repeated scrapes of an idle server are byte-identical
+/// modulo gauge values.
 pub fn render_prometheus(samples: &[Sample]) -> String {
-    let mut merged: BTreeMap<(&'static str, String), Sample> = BTreeMap::new();
-    for s in samples {
-        let key = (s.name, label_str(&s.labels));
-        match merged.get_mut(&key) {
-            Some(existing) => existing.value.merge(&s.value),
-            None => {
-                merged.insert(key, s.clone());
-            }
-        }
-    }
+    let sorted: BTreeMap<(&'static str, String), &Sample> = samples
+        .iter()
+        .map(|s| ((s.name, label_str(&s.labels)), s))
+        .collect();
+    debug_assert_eq!(sorted.len(), samples.len(), "a series is produced twice");
     let mut out = String::new();
     let mut last_name = "";
-    for ((name, labels), s) in &merged {
+    for ((name, labels), s) in &sorted {
         if *name != last_name {
             out.push_str("# HELP ");
             out.push_str(name);
@@ -785,19 +746,6 @@ mod tests {
         assert!(text.contains("omq_requests_total{op=\"other\"}"));
         assert!(text.contains("omq_metric_series_dropped_total"));
         assert!(!text.contains("op=\"op39\""));
-    }
-
-    #[test]
-    fn render_merges_duplicate_series() {
-        let mk = |v| Sample {
-            name: "omq_cache_hits_total",
-            help: "h",
-            labels: vec![("cache", "rewrite".to_owned())],
-            value: Value::Counter(v),
-        };
-        let text = render_prometheus(&[mk(3), mk(4)]);
-        assert!(text.contains("omq_cache_hits_total{cache=\"rewrite\"} 7"));
-        assert_eq!(text.matches("# TYPE omq_cache_hits_total").count(), 1);
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! Default mode reads JSON-lines requests from stdin and writes responses
 //! to stdout (a blank line flushes a batch; EOF flushes the rest). With
 //! `--listen ADDR` it serves the same protocol over TCP through the
-//! nonblocking, connection-multiplexed reactor. Either way the back end
-//! is a registry shardable with `--shards`, optionally persisting
-//! rewriting artifacts under `--cache-dir` and shedding load past
-//! `--queue-watermark`.
+//! nonblocking, connection-multiplexed reactor. Either way one engine
+//! answers every request, optionally persisting rewriting artifacts under
+//! `--cache-dir` and shedding load past `--queue-watermark`.
 
 use std::io::{self, BufReader};
 use std::net::TcpListener;
@@ -14,7 +13,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use omq_serve::{
-    serve_lines, serve_reactor, spawn_metrics_exporter, EngineConfig, ReactorConfig, ShardedEngine,
+    serve_lines, serve_reactor, spawn_metrics_exporter, Engine, EngineConfig, ReactorConfig,
+    RuntimeStats,
 };
 
 const USAGE: &str = "\
@@ -27,8 +27,6 @@ OPTIONS:
   --listen ADDR         serve over TCP on ADDR (e.g. 127.0.0.1:7171)
                         through the nonblocking reactor instead of
                         stdin/stdout
-  --shards N            shard the registry across N engines by canonical
-                        key hash (default 1)
   --queue-watermark N   shed solver requests once the admitted queue
                         depth reaches N (0 = never shed; default 0;
                         reactor mode only)
@@ -68,7 +66,6 @@ fn main() -> ExitCode {
     let mut listen: Option<String> = None;
     let mut metrics_listen: Option<String> = None;
     let mut trace_out: Option<String> = None;
-    let mut shards: usize = 1;
     let mut watermark: usize = 0;
     let mut workers: usize = 0;
     let mut it = args.iter();
@@ -82,10 +79,6 @@ fn main() -> ExitCode {
             "--listen" => match value("--listen") {
                 Ok(v) => listen = Some(v),
                 Err(e) => return fail(&e),
-            },
-            "--shards" => match value("--shards").map(|v| v.parse()) {
-                Ok(Ok(n)) if n >= 1 => shards = n,
-                _ => return fail("--shards needs a positive integer"),
             },
             "--queue-watermark" => match value("--queue-watermark").map(|v| v.parse()) {
                 Ok(Ok(n)) => watermark = n,
@@ -138,7 +131,9 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut engine = ShardedEngine::new(cfg, shards, watermark);
+    let mut engine = Engine::new(cfg);
+    let runtime = Arc::new(RuntimeStats::new(watermark));
+    engine.set_runtime_stats(Arc::clone(&runtime));
     if let Some(path) = trace_out {
         let file = match std::fs::File::create(&path) {
             Ok(f) => f,
@@ -176,18 +171,14 @@ fn main() -> ExitCode {
                 }
             };
             eprintln!(
-                "omq-serve: listening on {} ({} shard{}, watermark {})",
+                "omq-serve: listening on {} (watermark {watermark})",
                 listener.local_addr().map_or(addr, |a| a.to_string()),
-                engine.shards(),
-                if engine.shards() == 1 { "" } else { "s" },
-                watermark,
             );
-            let runtime = engine.runtime();
             serve_reactor(engine, listener, ReactorConfig { workers }, runtime)
         }
         None => {
             let stdin = io::stdin();
-            serve_lines(&*engine, BufReader::new(stdin.lock()), io::stdout().lock())
+            serve_lines(&engine, BufReader::new(stdin.lock()), io::stdout().lock())
         }
     };
     match result {

@@ -119,11 +119,11 @@ pub struct EngineConfig {
     /// request's trace id, so one request's spans are never split across
     /// the sample boundary; `"trace":true` requests are always captured.
     pub trace_sample: f64,
-    /// Flight-recorder slow threshold in milliseconds: requests slower
-    /// than this are tail-retained even when they neither shed nor timed
-    /// out.
-    pub flight_slow_ms: u64,
 }
+
+/// Flight-recorder slow threshold in milliseconds: requests slower than
+/// this are tail-retained even when they neither shed nor timed out.
+const FLIGHT_SLOW_MS: u64 = 250;
 
 impl Default for EngineConfig {
     fn default() -> Self {
@@ -134,7 +134,6 @@ impl Default for EngineConfig {
             store_compact_threshold: StoreConfig::default().compact_threshold,
             cache_dir: None,
             trace_sample: 1.0,
-            flight_slow_ms: 250,
         }
     }
 }
@@ -144,10 +143,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-fn cfg_flight_slow_us(cfg: &EngineConfig) -> u64 {
-    cfg.flight_slow_ms.saturating_mul(1_000)
 }
 
 /// Deterministic per-request sampling decision: a request is in the
@@ -164,9 +159,8 @@ fn sample_trace(trace_id: u64, rate: f64) -> bool {
     (splitmix64(trace_id) as f64) < rate * (u64::MAX as f64)
 }
 
-/// Shared body of the `trace_dump` op (the sharded front end answers it
-/// from shard 0, whose recorder is the process-shared one).
-pub(crate) fn trace_dump_fields(flight: &FlightRecorder) -> Vec<(String, Json)> {
+/// The body of the `trace_dump` op.
+fn trace_dump_fields(flight: &FlightRecorder) -> Vec<(String, Json)> {
     let (retained, recent) = flight.snapshot();
     let arr = |entries: Vec<omq_obs::flight::FlightEntry>| {
         Json::Arr(entries.iter().map(flight_entry_json).collect())
@@ -412,15 +406,13 @@ pub struct Engine {
     trace_sink: Option<Arc<JsonlSink>>,
     /// Live metrics registry fed on every request completion: the one
     /// record of per-op wall time, rendered by both the scrape and the
-    /// `stats` op. Per-engine by default, shared across shards by
-    /// [`Engine::set_telemetry`].
+    /// `stats` op.
     metrics: Arc<MetricsRegistry>,
     /// Always-on flight recorder with tail retention (shed / timed-out /
-    /// slow requests); shared across shards like `metrics`.
+    /// slow requests).
     flight: Arc<FlightRecorder>,
-    /// When set (by the reactor / sharded front end), the `stats` op
-    /// appends a `"reactor"` block with uptime, connection, queue, and
-    /// shard-occupancy counters.
+    /// When set (by the binary), the `stats` op appends a `"reactor"`
+    /// block with uptime, connection and queue counters.
     pub(crate) runtime: Option<Arc<RuntimeStats>>,
 }
 
@@ -444,7 +436,7 @@ impl Engine {
             stores: Mutex::new(HashMap::new()),
             trace_sink: None,
             metrics: Arc::new(MetricsRegistry::new()),
-            flight: Arc::new(FlightRecorder::new(cfg_flight_slow_us(&cfg))),
+            flight: Arc::new(FlightRecorder::new(FLIGHT_SLOW_MS * 1_000)),
             cfg,
             runtime: None,
         }
@@ -460,14 +452,6 @@ impl Engine {
     /// engine); the `stats` op then reports them as a `"reactor"` block.
     pub fn set_runtime_stats(&mut self, runtime: Arc<RuntimeStats>) {
         self.runtime = Some(runtime);
-    }
-
-    /// Replace this engine's metrics registry and flight recorder with
-    /// shared ones (the sharded front end installs one pair across every
-    /// shard, so per-op counters and the flight rings are process-wide).
-    pub fn set_telemetry(&mut self, metrics: Arc<MetricsRegistry>, flight: Arc<FlightRecorder>) {
-        self.metrics = metrics;
-        self.flight = flight;
     }
 
     /// The live metrics registry this engine reports into.
@@ -499,17 +483,6 @@ impl Engine {
     /// Disk-tier counters, when a persisted tier is configured.
     pub fn disk_stats(&self) -> Option<DiskTierStats> {
         self.disk.as_ref().map(DiskTier::stats)
-    }
-
-    /// The canonical digest of a registered name (used by the sharded
-    /// front end to route requests by canonical key).
-    pub fn key_digest(&self, name: &str) -> Option<String> {
-        self.registry
-            .read()
-            .unwrap()
-            .get(name)
-            .ok()
-            .map(|r| r.key.digest())
     }
 
     /// Current cache counters `(artifact cache, verdict cache, encoding
@@ -601,23 +574,9 @@ impl Engine {
             .collect()
     }
 
+    /// Answers one request inside the full request lifecycle: deadline,
+    /// instrumentation, and one telemetry record.
     fn execute_one(&self, item: &Result<Request, Box<Response>>, arrival: Instant) -> Response {
-        self.answer(item, arrival, |op, budget, coalesce, trace_id| {
-            self.run_op(op, budget, coalesce, trace_id)
-        })
-    }
-
-    /// Answers one request with `run` (given the op, its budget, whether
-    /// it may coalesce, and its trace id) inside the full request
-    /// lifecycle: deadline, instrumentation, and one telemetry record.
-    /// The sharded front end answers `stats` and `metrics` through here on
-    /// shard 0, so they are recorded like every other request.
-    pub(crate) fn answer(
-        &self,
-        item: &Result<Request, Box<Response>>,
-        arrival: Instant,
-        run: impl FnOnce(&Op, &Budget, bool, u64) -> OpOutcome,
-    ) -> Response {
         let req = match item {
             Ok(req) => req,
             Err(resp) => return (**resp).clone(),
@@ -666,7 +625,7 @@ impl Engine {
         let started = Instant::now();
         let (mut outcome, timed_out) = {
             let _root = omq_obs::span(op_name(&req.op));
-            run(&req.op, &budget, coalesce, req.trace_id)
+            self.run_op(&req.op, &budget, coalesce, req.trace_id)
         };
         let tree = flight_sink.map(|fs| fs.take()).unwrap_or_default();
         self.record(req, started.elapsed(), timed_out, tree);
@@ -868,9 +827,7 @@ impl Engine {
                 query,
             } => (self.op_register(name, program, schema, query), false),
             Op::Classify { name } => (self.op_classify(name), false),
-            Op::Stats | Op::Metrics => {
-                (Ok(stats::op_fields(op, std::slice::from_ref(self))), false)
-            }
+            Op::Stats | Op::Metrics => (Ok(stats::op_fields(op, self)), false),
             Op::TraceDump => (Ok(self.op_trace_dump()), false),
             Op::Contains { lhs, rhs } => self.op_contains(lhs, rhs, budget, coalesce, trace_id),
             Op::Equivalent { lhs, rhs } => self.op_equivalent(lhs, rhs, budget, coalesce, trace_id),
@@ -879,22 +836,6 @@ impl Engine {
             Op::Retract { name, facts } => self.op_mutate(name, facts, false, budget),
             Op::Snapshot { name } => (self.op_snapshot(name), false),
             Op::Explain { lhs, rhs } => self.op_explain(lhs, rhs, budget),
-        }
-    }
-
-    /// Applies a broadcast `register` to this engine's registry without
-    /// answering or recording it: a sharded front end sends the request
-    /// itself to one shard and only replicates it to the others, so the
-    /// shared telemetry counts it once.
-    pub(crate) fn replicate(&self, req: &Request) {
-        if let Op::Register {
-            name,
-            program,
-            schema,
-            query,
-        } = &req.op
-        {
-            let _ = self.op_register(name, program, schema, query);
         }
     }
 

@@ -44,6 +44,12 @@ pub enum ServeError {
         /// The admission watermark in force.
         watermark: usize,
     },
+    /// A connection buffered more than `limit_bytes` without completing a
+    /// batch. The reactor answers once and closes the connection.
+    TooLarge {
+        /// The per-connection cap on buffered, unbatched bytes.
+        limit_bytes: usize,
+    },
 }
 
 impl ServeError {
@@ -60,6 +66,7 @@ impl ServeError {
             ServeError::Containment(_) => "containment",
             ServeError::StaleVersion(_) => "stale_version",
             ServeError::Shed { .. } => "shed",
+            ServeError::TooLarge { .. } => "too_large",
         }
     }
 }
@@ -85,6 +92,10 @@ impl fmt::Display for ServeError {
             } => write!(
                 f,
                 "shed: queue depth {queue_depth} at or over the admission watermark {watermark}; retry later"
+            ),
+            ServeError::TooLarge { limit_bytes } => write!(
+                f,
+                "more than {limit_bytes} bytes buffered without a blank line ending the batch; closing the connection"
             ),
         }
     }
@@ -131,6 +142,7 @@ mod tests {
                 queue_depth: 9,
                 watermark: 4,
             },
+            ServeError::TooLarge { limit_bytes: 16 },
         ];
         for v in &variants {
             assert!(!v.to_string().is_empty());

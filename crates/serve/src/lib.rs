@@ -21,7 +21,6 @@
 //!   the persisted disk tier behind the in-memory artifact LRU;
 //! * [`engine`] — scheduling, deadlines, caching, coalescing, solver
 //!   dispatch;
-//! * [`shard`] — canonical-key-hash sharding across N engines;
 //! * [`stats`] — the counter table behind the `stats` op and the scrape;
 //! * [`admission`] — queue-depth admission control (load shedding);
 //! * [`server`] — the stdin/stdout stream transport;
@@ -37,7 +36,6 @@ pub mod protocol;
 pub mod reactor;
 pub mod registry;
 pub mod server;
-pub mod shard;
 pub mod stats;
 pub mod tier;
 
@@ -50,6 +48,5 @@ pub use key::{OmqKey, RewriteCfgKey};
 pub use protocol::{parse_request, response_to_json, Op, Request, Response};
 pub use reactor::{serve_reactor, spawn_metrics_exporter, ReactorConfig, RuntimeStats, StallWatch};
 pub use registry::{RegisterInfo, Registered, Registry};
-pub use server::{serve_lines, BatchExecutor};
-pub use shard::ShardedEngine;
+pub use server::serve_lines;
 pub use tier::{DiskTier, DiskTierStats, PortableArtifact};

@@ -122,10 +122,10 @@ impl Op {
 /// instrument the run (`"trace":true`), and the job.
 ///
 /// Every parsed request is assigned a process-unique `trace_id` at the
-/// protocol layer; it follows the request through shard sub-batches,
-/// coalescing, shedding, and the flight recorder, but never appears in a
-/// default-mode response (only under `"trace":true` and on sink events),
-/// preserving byte-determinism.
+/// protocol layer; it follows the request through coalescing, shedding,
+/// and the flight recorder, but never appears in a default-mode response
+/// (only under `"trace":true` and on sink events), preserving
+/// byte-determinism.
 #[derive(Clone, Debug)]
 pub struct Request {
     pub id: Option<Json>,
@@ -308,6 +308,9 @@ pub fn response_to_json(resp: &Response) -> Json {
                 err_fields.push(("queue_depth".to_owned(), Json::num(*queue_depth)));
                 err_fields.push(("watermark".to_owned(), Json::num(*watermark)));
                 err_fields.push(("retry".to_owned(), Json::Bool(true)));
+            }
+            if let ServeError::TooLarge { limit_bytes } = e {
+                err_fields.push(("limit_bytes".to_owned(), Json::num(*limit_bytes)));
             }
             fields.push(("error".into(), Json::Obj(err_fields)));
         }

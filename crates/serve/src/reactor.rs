@@ -7,9 +7,9 @@
 //! Complete batches (blank-line-terminated runs of JSON-lines requests,
 //! the same framing as [`crate::server::serve_lines`]) are handed to a
 //! small pool of worker threads that parse, apply admission control, and
-//! run [`crate::server::BatchExecutor::execute_batch`]; finished response
-//! bytes come back over a results queue and a self-wakeup datagram socket
-//! kicks the reactor out of `poll` to flush them.
+//! run [`Engine::execute_batch`]; finished response bytes come back over a
+//! results queue and a self-wakeup datagram socket kicks the reactor out of
+//! `poll` to flush them.
 //!
 //! Ordering: at most one batch per connection is in flight at a time, so
 //! a connection's responses are written in request order and are
@@ -18,7 +18,13 @@
 //! answers. Admission control is the one deliberate exception: when the
 //! queue depth at enqueue time sits at or over the watermark, sheddable
 //! requests are answered with a structured `shed` error without touching
-//! the executor (see [`crate::admission`]).
+//! the engine (see [`crate::admission`]).
+//!
+//! A connection buffers at most [`MAX_PENDING_BYTES`] of request bytes
+//! that no batch has taken yet. While its batch is at a worker, a
+//! connection over the cap is not read, so a pipelining client waits; a
+//! connection over the cap whose buffer holds no complete batch gets one
+//! structured `too_large` error and is closed.
 //!
 //! The reactor itself is Unix-only (it needs `poll(2)` and raw fds);
 //! [`serve_reactor`] returns `Unsupported` elsewhere, and the portable
@@ -28,14 +34,19 @@
 use std::io;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
-use omq_obs::flight::{FlightRecorder, SpanTree};
-use omq_obs::metrics::{MetricsRegistry, PROMETHEUS_CONTENT_TYPE};
+use omq_obs::flight::SpanTree;
+use omq_obs::metrics::PROMETHEUS_CONTENT_TYPE;
 
 use crate::admission::Admission;
-use crate::server::BatchExecutor;
+use crate::engine::Engine;
+
+/// The most request bytes one connection may buffer before a batch takes
+/// them: 16 MiB, several hundred times the largest batch a benchmark
+/// client sends.
+pub const MAX_PENDING_BYTES: usize = 16 << 20;
 
 /// Reactor construction knobs.
 #[derive(Clone, Debug, Default)]
@@ -58,10 +69,10 @@ impl ReactorConfig {
 }
 
 /// Serve-tier runtime counters: uptime, connection gauges, batch/request
-/// totals, shedding, and per-shard occupancy. Shared by the reactor, the
-/// admission gate, and the sharded executor; rendered by the counter
-/// table ([`crate::stats`]) as the `stats` op's `"reactor"` block and its
-/// scrape series (obs taxonomy `serve.reactor.*`).
+/// totals, shedding and oversized-input refusals. Shared by the reactor
+/// and the admission gate; rendered by the counter table
+/// ([`crate::stats`]) as the `stats` op's `"reactor"` block and its scrape
+/// series (obs taxonomy `serve.reactor.*`).
 #[derive(Debug)]
 pub struct RuntimeStats {
     pub(crate) started: Instant,
@@ -73,16 +84,12 @@ pub struct RuntimeStats {
     pub(crate) shed: AtomicU64,
     /// The shared queue-depth gate (watermark `0` = shedding off).
     pub admission: Admission,
-    pub(crate) shard_requests: Vec<AtomicU64>,
-    /// Telemetry plane, when the owning front end has one: the metrics
-    /// registry (SLO-burn accounting for sheds) and the flight recorder
-    /// (shed requests leave a retained entry even though they never
-    /// reach the engine).
-    telemetry: OnceLock<(Arc<MetricsRegistry>, Arc<FlightRecorder>)>,
+    /// Connections refused for buffering over [`MAX_PENDING_BYTES`].
+    pub(crate) too_large: AtomicU64,
 }
 
 impl RuntimeStats {
-    pub fn new(shards: usize, watermark: usize) -> RuntimeStats {
+    pub fn new(watermark: usize) -> RuntimeStats {
         RuntimeStats {
             started: Instant::now(),
             connections_live: AtomicUsize::new(0),
@@ -92,18 +99,8 @@ impl RuntimeStats {
             requests: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             admission: Admission::new(watermark),
-            shard_requests: (0..shards.max(1)).map(|_| AtomicU64::new(0)).collect(),
-            telemetry: OnceLock::new(),
+            too_large: AtomicU64::new(0),
         }
-    }
-
-    /// Attach the process-wide telemetry plane (first call wins).
-    pub fn set_telemetry(&self, metrics: Arc<MetricsRegistry>, flight: Arc<FlightRecorder>) {
-        let _ = self.telemetry.set((metrics, flight));
-    }
-
-    pub fn flight(&self) -> Option<&Arc<FlightRecorder>> {
-        self.telemetry.get().map(|(_, f)| f)
     }
 
     pub fn conn_opened(&self) {
@@ -131,28 +128,25 @@ impl RuntimeStats {
     }
 
     /// A shed with its request identity: updates the counters, charges
-    /// the SLO-burn window, and leaves a retained flight-recorder entry
-    /// (reason `"shed"`) so `trace_dump` can show requests that were
-    /// turned away before reaching the engine.
-    pub fn record_shed_request(&self, trace_id: u64, op: &'static str) {
+    /// `engine`'s SLO-burn window, and leaves a retained entry (reason
+    /// `"shed"`) in its flight recorder so `trace_dump` can show requests
+    /// that were turned away before reaching the engine.
+    pub fn record_shed_request(&self, engine: &Engine, trace_id: u64, op: &'static str) {
         self.record_shed();
-        if let Some((metrics, flight)) = self.telemetry.get() {
-            metrics.mark_shed();
-            flight.offer(
-                trace_id,
-                op,
-                0,
-                SpanTree::root("serve.shed", 0),
-                Some("shed"),
-            );
-        }
+        engine.metrics().mark_shed();
+        engine.flight().offer(
+            trace_id,
+            op,
+            0,
+            SpanTree::root("serve.shed", 0),
+            Some("shed"),
+        );
     }
 
-    /// `n` requests were routed to `shard` (see [`crate::shard`]).
-    pub fn record_shard(&self, shard: usize, n: usize) {
-        if let Some(slot) = self.shard_requests.get(shard) {
-            slot.fetch_add(n as u64, Ordering::Relaxed);
-        }
+    /// One connection was refused for buffering over [`MAX_PENDING_BYTES`].
+    pub fn record_too_large(&self) {
+        self.too_large.fetch_add(1, Ordering::Relaxed);
+        omq_obs::counter("serve.reactor.too_large", 1);
     }
 
     pub fn shed_total(&self) -> u64 {
@@ -240,7 +234,7 @@ const WATCHDOG_TRIP_TICKS: u32 = 5;
 /// Background stall watchdog: on a trip, dump the flight recorder's
 /// retained ring to stderr — the shed/timeout/slow trees are exactly the
 /// forensics wanted when the serve loop wedges.
-fn spawn_stall_watchdog(stats: Arc<RuntimeStats>) {
+fn spawn_stall_watchdog(engine: Arc<Engine>, stats: Arc<RuntimeStats>) {
     std::thread::spawn(move || {
         let mut watch = StallWatch::new(WATCHDOG_TRIP_TICKS);
         loop {
@@ -253,18 +247,16 @@ fn spawn_stall_watchdog(stats: Arc<RuntimeStats>) {
                 stats.admission.depth(),
                 stats.requests_total()
             );
-            if let Some(flight) = stats.flight() {
-                let (retained, _) = flight.snapshot();
-                for e in retained.iter().rev().take(16) {
-                    eprintln!(
-                        "omq-serve:   flight trace_id={} op={} reason={} wall_us={} spans={}",
-                        e.trace_id,
-                        e.op,
-                        e.reason,
-                        e.wall_us,
-                        e.spans.len()
-                    );
-                }
+            let (retained, _) = engine.flight().snapshot();
+            for e in retained.iter().rev().take(16) {
+                eprintln!(
+                    "omq-serve:   flight trace_id={} op={} reason={} wall_us={} spans={}",
+                    e.trace_id,
+                    e.op,
+                    e.reason,
+                    e.wall_us,
+                    e.spans.len()
+                );
             }
         }
     });
@@ -272,12 +264,11 @@ fn spawn_stall_watchdog(stats: Arc<RuntimeStats>) {
 
 /// Answers Prometheus scrapes on a dedicated listener: a minimal
 /// blocking HTTP/1.0 responder (one short-lived connection per scrape,
-/// which is exactly a scraper's access pattern) that serves the
-/// executor's [`BatchExecutor::render_metrics`] exposition on any GET.
-/// Returns the spawned thread's handle; the thread runs until the
-/// listener fails.
-pub fn spawn_metrics_exporter<E: BatchExecutor + 'static>(
-    executor: Arc<E>,
+/// which is exactly a scraper's access pattern) that serves `engine`'s
+/// exposition ([`crate::stats::metrics_text`]) on any GET. Returns the
+/// spawned thread's handle; the thread runs until the listener fails.
+pub fn spawn_metrics_exporter(
+    engine: Arc<Engine>,
     listener: TcpListener,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
@@ -301,21 +292,12 @@ pub fn spawn_metrics_exporter<E: BatchExecutor + 'static>(
                     Err(_) => break,
                 }
             }
-            let response = match executor.render_metrics() {
-                Some(body) => format!(
-                    "HTTP/1.0 200 OK\r\nContent-Type: {PROMETHEUS_CONTENT_TYPE}\r\n\
-                     Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                    body.len()
-                ),
-                None => {
-                    let body = "metrics unavailable\n";
-                    format!(
-                        "HTTP/1.0 404 Not Found\r\nContent-Type: text/plain\r\n\
-                         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                        body.len()
-                    )
-                }
-            };
+            let body = crate::stats::metrics_text(&engine);
+            let response = format!(
+                "HTTP/1.0 200 OK\r\nContent-Type: {PROMETHEUS_CONTENT_TYPE}\r\n\
+                 Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                body.len()
+            );
             let _ = stream.write_all(response.as_bytes());
         }
     })
@@ -326,21 +308,21 @@ pub fn spawn_metrics_exporter<E: BatchExecutor + 'static>(
 /// sheds per [`RuntimeStats::admission`]. Never returns under normal
 /// operation — spawn it on a dedicated thread.
 #[cfg(unix)]
-pub fn serve_reactor<E: BatchExecutor + 'static>(
-    executor: Arc<E>,
+pub fn serve_reactor(
+    engine: Arc<Engine>,
     listener: TcpListener,
     cfg: ReactorConfig,
     stats: Arc<RuntimeStats>,
 ) -> io::Result<()> {
-    spawn_stall_watchdog(Arc::clone(&stats));
-    imp::run(executor, listener, &cfg, stats)
+    spawn_stall_watchdog(Arc::clone(&engine), Arc::clone(&stats));
+    imp::run(engine, listener, &cfg, stats)
 }
 
 /// The reactor needs `poll(2)` and raw fds; on non-Unix targets it
 /// refuses to start, so `--listen` is Unix-only.
 #[cfg(not(unix))]
-pub fn serve_reactor<E: BatchExecutor + 'static>(
-    _executor: Arc<E>,
+pub fn serve_reactor(
+    _engine: Arc<Engine>,
     _listener: TcpListener,
     _cfg: ReactorConfig,
     _stats: Arc<RuntimeStats>,
@@ -361,10 +343,11 @@ mod imp {
 
     use minipoll::{poll_fds, PollFd, POLLIN, POLLOUT};
 
-    use super::{split_batch, ReactorConfig, RuntimeStats};
+    use super::{split_batch, ReactorConfig, RuntimeStats, MAX_PENDING_BYTES};
     use crate::admission::Admission;
+    use crate::engine::Engine;
+    use crate::error::ServeError;
     use crate::protocol::{parse_request, response_to_json, Response};
-    use crate::server::BatchExecutor;
 
     /// One multiplexed connection.
     struct Conn {
@@ -378,6 +361,16 @@ mod imp {
         pending: bool,
         /// The peer half-closed (or errored); flush and finish.
         closed_read: bool,
+    }
+
+    impl Conn {
+        /// The peer may still send and the read buffer is within its cap.
+        /// A connection over the cap between dispatch passes always has a
+        /// batch at a worker: the pass either took a batch from it or
+        /// refused it.
+        fn wants_read(&self) -> bool {
+            !self.closed_read && self.rbuf.len() <= MAX_PENDING_BYTES
+        }
     }
 
     /// One parsed-off batch travelling to the workers.
@@ -399,7 +392,7 @@ mod imp {
         wake_tx: UdpSocket,
     }
 
-    fn worker_loop<E: BatchExecutor>(executor: &E, shared: &Shared, stats: &RuntimeStats) {
+    fn worker_loop(engine: &Engine, shared: &Shared, stats: &RuntimeStats) {
         loop {
             let job = {
                 let mut jobs = shared.jobs.lock().unwrap();
@@ -423,12 +416,12 @@ mod imp {
                             req.id.clone(),
                             stats.admission.shed_error(job.depth_at_enqueue),
                         );
-                        stats.record_shed_request(req.trace_id, req.op.label());
+                        stats.record_shed_request(engine, req.trace_id, req.op.label());
                         *item = Err(Box::new(resp));
                     }
                 }
             }
-            let responses = executor.execute_batch(&items);
+            let responses = engine.execute_batch(&items);
             let mut bytes = Vec::new();
             for resp in &responses {
                 bytes.extend_from_slice(response_to_json(resp).to_string().as_bytes());
@@ -442,8 +435,8 @@ mod imp {
         }
     }
 
-    pub(super) fn run<E: BatchExecutor + 'static>(
-        executor: Arc<E>,
+    pub(super) fn run(
+        engine: Arc<Engine>,
         listener: TcpListener,
         cfg: &ReactorConfig,
         stats: Arc<RuntimeStats>,
@@ -460,10 +453,10 @@ mod imp {
             wake_tx,
         });
         for _ in 0..cfg.effective_workers() {
-            let executor = Arc::clone(&executor);
+            let engine = Arc::clone(&engine);
             let shared = Arc::clone(&shared);
             let stats = Arc::clone(&stats);
-            std::thread::spawn(move || worker_loop(&*executor, &shared, &stats));
+            std::thread::spawn(move || worker_loop(&engine, &shared, &stats));
         }
 
         let mut conns: HashMap<u64, Conn> = HashMap::new();
@@ -471,8 +464,8 @@ mod imp {
         let mut read_buf = [0u8; 64 * 1024];
         loop {
             // (Re)build the poll set: listener, wake socket, then every
-            // connection — POLLIN while the peer may still send, POLLOUT
-            // only while there are bytes to flush (level-triggered, so an
+            // connection — POLLIN while it wants to read, POLLOUT only
+            // while there are bytes to flush (level-triggered, so an
             // always-on POLLOUT would spin).
             let mut fds = vec![
                 PollFd::new(listener.as_raw_fd(), POLLIN),
@@ -481,7 +474,7 @@ mod imp {
             let mut ids = Vec::with_capacity(conns.len());
             for (&id, conn) in &conns {
                 let mut events = 0;
-                if !conn.closed_read {
+                if conn.wants_read() {
                     events |= POLLIN;
                 }
                 if !conn.outbox.is_empty() {
@@ -539,14 +532,19 @@ mod imp {
                     conn.closed_read = true;
                     conn.outbox.clear();
                 }
-                if fd.readable() && !conn.closed_read {
+                if fd.readable() && conn.wants_read() {
                     loop {
                         match conn.stream.read(&mut read_buf) {
                             Ok(0) => {
                                 conn.closed_read = true;
                                 break;
                             }
-                            Ok(n) => conn.rbuf.extend_from_slice(&read_buf[..n]),
+                            Ok(n) => {
+                                conn.rbuf.extend_from_slice(&read_buf[..n]);
+                                if conn.rbuf.len() > MAX_PENDING_BYTES {
+                                    break;
+                                }
+                            }
                             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                             Err(_) => {
@@ -582,8 +580,9 @@ mod imp {
                 }
             }
 
-            // Dispatch at most one batch per idle connection (order), then
-            // retire connections that are fully drained.
+            // Dispatch at most one batch per idle connection (order), refuse
+            // an idle connection over the read cap that holds no complete
+            // batch, then retire connections that are fully drained.
             let mut done = Vec::new();
             for (&id, conn) in &mut conns {
                 if !conn.pending {
@@ -597,6 +596,19 @@ mod imp {
                             depth_at_enqueue,
                         });
                         shared.jobs_cv.notify_one();
+                    } else if conn.rbuf.len() > MAX_PENDING_BYTES {
+                        let refusal = Response::err(
+                            None,
+                            ServeError::TooLarge {
+                                limit_bytes: MAX_PENDING_BYTES,
+                            },
+                        );
+                        conn.outbox
+                            .extend_from_slice(response_to_json(&refusal).to_string().as_bytes());
+                        conn.outbox.push(b'\n');
+                        conn.rbuf = Vec::new();
+                        conn.closed_read = true;
+                        stats.record_too_large();
                     }
                 }
                 if conn.closed_read
@@ -665,17 +677,12 @@ mod tests {
 
     #[test]
     fn shed_requests_leave_a_retained_flight_entry() {
-        use omq_obs::flight::FlightRecorder;
-        use omq_obs::metrics::MetricsRegistry;
-
-        let stats = RuntimeStats::new(1, 4);
-        let metrics = Arc::new(MetricsRegistry::new());
-        let flight = Arc::new(FlightRecorder::new(250_000));
-        stats.set_telemetry(Arc::clone(&metrics), Arc::clone(&flight));
-        stats.record_shed_request(42, "serve.contains");
+        let engine = Engine::new(crate::engine::EngineConfig::default());
+        let stats = RuntimeStats::new(4);
+        stats.record_shed_request(&engine, 42, "serve.contains");
         assert_eq!(stats.shed_total(), 1);
-        assert_eq!(metrics.shed_total(), 1);
-        let (retained, _) = flight.snapshot();
+        assert_eq!(engine.metrics().shed_total(), 1);
+        let (retained, _) = engine.flight().snapshot();
         assert_eq!(retained.len(), 1);
         assert_eq!(retained[0].trace_id, 42);
         assert_eq!(retained[0].reason, "shed");

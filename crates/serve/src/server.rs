@@ -1,44 +1,17 @@
 //! Transport: JSON-lines over any `BufRead`/`Write` pair (stdin/stdout
 //! batch mode). TCP is served by the nonblocking, connection-multiplexed
-//! front end in [`crate::reactor`].
-//!
-//! Every transport talks to its back end through [`BatchExecutor`], so a
-//! single [`crate::engine::Engine`] and a [`crate::shard::ShardedEngine`]
-//! plug in interchangeably.
+//! front end in [`crate::reactor`]. Both hand every batch to one
+//! [`Engine`].
 
 use std::io::{self, BufRead, Write};
 
 use crate::engine::Engine;
 use crate::protocol::{parse_request, response_to_json, Request, Response};
 
-/// Anything that can answer one parsed batch, in order. Items that already
-/// failed at the protocol layer pass through as-is.
-pub trait BatchExecutor: Send + Sync {
-    fn execute_batch(&self, items: &[Result<Request, Box<Response>>]) -> Vec<Response>;
-
-    /// Prometheus text exposition for this executor, if it has a metrics
-    /// plane (see [`crate::reactor::spawn_metrics_exporter`]). The default
-    /// is `None`: the exporter answers 404 rather than inventing an empty
-    /// scrape.
-    fn render_metrics(&self) -> Option<String> {
-        None
-    }
-}
-
-impl BatchExecutor for Engine {
-    fn execute_batch(&self, items: &[Result<Request, Box<Response>>]) -> Vec<Response> {
-        Engine::execute_batch(self, items)
-    }
-
-    fn render_metrics(&self) -> Option<String> {
-        Some(crate::stats::metrics_text(std::slice::from_ref(self)))
-    }
-}
-
 /// Serves one stream: lines accumulate into a batch, a blank line (or EOF)
 /// executes it and writes one response line per request, in order.
-pub fn serve_lines<E: BatchExecutor + ?Sized, R: BufRead, W: Write>(
-    engine: &E,
+pub fn serve_lines<R: BufRead, W: Write>(
+    engine: &Engine,
     reader: R,
     mut writer: W,
 ) -> io::Result<()> {

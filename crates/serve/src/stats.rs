@@ -4,21 +4,11 @@
 //!
 //! A [`Stat`] gives the places its value takes in the `stats` object (JSON
 //! Pointers), its scrape series (name and labels), its help text, and its
-//! value, whose variant is its kind. [`table`] folds the engines behind one
-//! front end into that table once:
-//!
-//! * per-shard sources (the cache tiers, coalescing, the artifact disk
-//!   tier, the named stores) are summed across shards;
-//! * registry replicas (`registered`, `distinct_keys`) and the shared
-//!   configuration (`threads`, `cache_capacity`) come from shard 0, since
-//!   summing replicas would overcount;
-//! * process-wide sources (the latency histograms, the hom kernel, the
-//!   reactor block) appear once.
-//!
-//! A single engine is the one-element case, so `stats` and the scrape
-//! agree on every entry whatever the shard count. The series that only the
-//! scrape carries (request totals, rolling windows, SLO burn, the flight
-//! recorder) are rendered by their owners in `omq_obs`.
+//! value, whose variant is its kind. [`table`] reads the engine into that
+//! table once, and each series appears in it once, so `stats` and the
+//! scrape agree on every entry. The series that only the scrape carries
+//! (request totals, rolling windows, SLO burn, the flight recorder) are
+//! rendered by their owners in `omq_obs`.
 
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -69,8 +59,7 @@ impl Stat {
 struct Table(Vec<Stat>);
 
 impl Table {
-    /// Declares one entry, or folds `value` into the entry that already
-    /// carries the same series (another shard's or another store's share).
+    /// Declares one entry.
     fn add(
         &mut self,
         pointer: String,
@@ -79,21 +68,13 @@ impl Table {
         help: &'static str,
         value: Value,
     ) {
-        let labels: Vec<_> = labels.iter().map(|&(k, v)| (k, v.to_owned())).collect();
-        match self
-            .0
-            .iter_mut()
-            .find(|s| s.name == name && s.labels == labels)
-        {
-            Some(stat) => stat.value.merge(&value),
-            None => self.0.push(Stat {
-                pointers: vec![pointer],
-                name,
-                labels,
-                help,
-                value,
-            }),
-        }
+        self.0.push(Stat {
+            pointers: vec![pointer],
+            name,
+            labels: labels.iter().map(|&(k, v)| (k, v.to_owned())).collect(),
+            help,
+            value,
+        });
     }
 
     /// Shows the entry at `pointer` at a further place in `stats` too.
@@ -126,64 +107,58 @@ impl Table {
     }
 }
 
-/// The counter table of the engines behind one front end (at least one;
-/// shard 0 first). Entry order is the key order of the `stats` object.
-/// One line declares one entry: pointer, series name and labels, help
-/// text, value.
+/// The engine's counter table. Entry order is the key order of the
+/// `stats` object. One line declares one entry: pointer, series name and
+/// labels, help text, value.
 #[rustfmt::skip]
-pub fn table(engines: &[Engine]) -> Vec<Stat> {
-    let first = &engines[0];
+pub fn table(engine: &Engine) -> Vec<Stat> {
     let mut t = Table::default();
     {
-        let reg = first.registry.read().unwrap();
+        let reg = engine.registry.read().unwrap();
         t.gauge("/registered", "omq_registered", &[], "Registered OMQ names.", reg.len() as u64);
         t.gauge("/distinct_keys", "omq_registry_distinct_keys", &[], "Distinct canonical OMQ keys.", reg.distinct_keys() as u64);
     }
     // Wall clock of the whole request, cache hits included.
-    for (op, h) in first.metrics().op_latencies() {
+    for (op, h) in engine.metrics().op_latencies() {
         let value = Value::Histogram { buckets: h.buckets.to_vec(), count: h.count, sum_us: h.sum_ns / 1_000 };
         t.add(format!("/latency/{op}"), "omq_request_duration_us", &[("op", op)], "Request wall time in microseconds, log-bucketed.", value);
     }
-    for e in engines {
-        let (rw, vd, enc) = e.cache_stats();
-        for (tier, s) in [("rewrite", rw), ("verdict", vd), ("encoding", enc)] {
-            let at = |field: &str| format!("/{tier}_cache/{field}");
-            let cache = &[("cache", tier)];
-            t.counter(at("hits"), "omq_cache_hits_total", cache, "Cache hits, by cache tier.", s.hits as u64);
-            t.counter(at("alias_hits"), "omq_cache_alias_hits_total", cache, "Cache hits reached through an alias registration, by cache tier.", s.alias_hits as u64);
-            t.counter(at("misses"), "omq_cache_misses_total", cache, "Cache misses, by cache tier.", s.misses as u64);
-            t.counter(at("insertions"), "omq_cache_insertions_total", cache, "Cache insertions, by cache tier.", s.insertions as u64);
-            t.counter(at("evictions"), "omq_cache_evictions_total", cache, "Cache evictions, by cache tier.", s.evictions as u64);
-            t.gauge(at("entries"), "omq_cache_entries", cache, "Live cache entries, by cache tier.", s.entries as u64);
-        }
+    let (rw, vd, enc) = engine.cache_stats();
+    for (tier, s) in [("rewrite", rw), ("verdict", vd), ("encoding", enc)] {
+        let at = |field: &str| format!("/{tier}_cache/{field}");
+        let cache = &[("cache", tier)];
+        t.counter(at("hits"), "omq_cache_hits_total", cache, "Cache hits, by cache tier.", s.hits as u64);
+        t.counter(at("alias_hits"), "omq_cache_alias_hits_total", cache, "Cache hits reached through an alias registration, by cache tier.", s.alias_hits as u64);
+        t.counter(at("misses"), "omq_cache_misses_total", cache, "Cache misses, by cache tier.", s.misses as u64);
+        t.counter(at("insertions"), "omq_cache_insertions_total", cache, "Cache insertions, by cache tier.", s.insertions as u64);
+        t.counter(at("evictions"), "omq_cache_evictions_total", cache, "Cache evictions, by cache tier.", s.evictions as u64);
+        t.gauge(at("entries"), "omq_cache_entries", cache, "Live cache entries, by cache tier.", s.entries as u64);
     }
     // The headline warm-path signal: dashboards and the CI gate key on it.
     t.also("/encoding_cache/hits", "/encoding_cache_hits");
     // Versioned-store mutation and fixpoint-maintenance counters, summed
     // over every named store (see `omq_store::StoreStats`).
-    for e in engines {
-        let (s, stores) = e.store_stats();
-        let ops = "Versioned-store operations, by kind.";
-        let facts = "Base facts asserted/retracted across stores.";
-        let upkeep = "Incremental chase-maintenance events, by kind.";
-        t.gauge("/store/stores", "omq_stores", &[], "Named versioned stores.", stores as u64);
-        t.counter("/store/asserts", "omq_store_ops_total", &[("op", "assert")], ops, s.asserts);
-        t.counter("/store/retracts", "omq_store_ops_total", &[("op", "retract")], ops, s.retracts);
-        t.counter("/store/facts_asserted", "omq_store_facts_total", &[("dir", "asserted")], facts, s.facts_asserted);
-        t.counter("/store/facts_retracted", "omq_store_facts_total", &[("dir", "retracted")], facts, s.facts_retracted);
-        t.counter("/store/snapshots", "omq_store_ops_total", &[("op", "snapshot")], ops, s.snapshots);
-        t.counter("/store/compactions", "omq_store_ops_total", &[("op", "compact")], ops, s.compactions);
-        t.gauge("/store/novelty_size", "omq_store_novelty_rows", &[], "Uncompacted novelty-overlay rows across stores.", s.novelty_size);
-        t.counter("/store/dred_deleted", "omq_store_maintenance_total", &[("kind", "dred_deleted")], upkeep, s.dred_deleted);
-        t.counter("/store/rederived", "omq_store_maintenance_total", &[("kind", "rederived")], upkeep, s.rederived);
-        t.counter("/store/incremental_resumes", "omq_store_maintenance_total", &[("kind", "incremental_resume")], upkeep, s.incremental_resumes);
-        t.counter("/store/full_rechases", "omq_store_maintenance_total", &[("kind", "full_rechase")], upkeep, s.full_rechases);
-        t.counter("/store/cone_batches", "omq_store_maintenance_total", &[("kind", "cone_batch")], upkeep, s.cone_batches);
-        t.counter("/store/cone_reuses", "omq_store_maintenance_total", &[("kind", "cone_reuse")], upkeep, s.cone_reuses);
-    }
-    let threads = effective_threads(first.cfg.threads, usize::MAX) as u64;
+    let (s, stores) = engine.store_stats();
+    let ops = "Versioned-store operations, by kind.";
+    let facts = "Base facts asserted/retracted across stores.";
+    let upkeep = "Incremental chase-maintenance events, by kind.";
+    t.gauge("/store/stores", "omq_stores", &[], "Named versioned stores.", stores as u64);
+    t.counter("/store/asserts", "omq_store_ops_total", &[("op", "assert")], ops, s.asserts);
+    t.counter("/store/retracts", "omq_store_ops_total", &[("op", "retract")], ops, s.retracts);
+    t.counter("/store/facts_asserted", "omq_store_facts_total", &[("dir", "asserted")], facts, s.facts_asserted);
+    t.counter("/store/facts_retracted", "omq_store_facts_total", &[("dir", "retracted")], facts, s.facts_retracted);
+    t.counter("/store/snapshots", "omq_store_ops_total", &[("op", "snapshot")], ops, s.snapshots);
+    t.counter("/store/compactions", "omq_store_ops_total", &[("op", "compact")], ops, s.compactions);
+    t.gauge("/store/novelty_size", "omq_store_novelty_rows", &[], "Uncompacted novelty-overlay rows across stores.", s.novelty_size);
+    t.counter("/store/dred_deleted", "omq_store_maintenance_total", &[("kind", "dred_deleted")], upkeep, s.dred_deleted);
+    t.counter("/store/rederived", "omq_store_maintenance_total", &[("kind", "rederived")], upkeep, s.rederived);
+    t.counter("/store/incremental_resumes", "omq_store_maintenance_total", &[("kind", "incremental_resume")], upkeep, s.incremental_resumes);
+    t.counter("/store/full_rechases", "omq_store_maintenance_total", &[("kind", "full_rechase")], upkeep, s.full_rechases);
+    t.counter("/store/cone_batches", "omq_store_maintenance_total", &[("kind", "cone_batch")], upkeep, s.cone_batches);
+    t.counter("/store/cone_reuses", "omq_store_maintenance_total", &[("kind", "cone_reuse")], upkeep, s.cone_reuses);
+    let threads = effective_threads(engine.cfg.threads, usize::MAX) as u64;
     t.gauge("/threads", "omq_threads", &[], "Worker threads for in-batch fan-out.", threads);
-    t.gauge("/cache_capacity", "omq_cache_capacity", &[], "Capacity of each in-memory cache tier.", first.cfg.cache_capacity as u64);
+    t.gauge("/cache_capacity", "omq_cache_capacity", &[], "Capacity of each in-memory cache tier.", engine.cfg.cache_capacity as u64);
     // Process-global homomorphism-kernel counters: monotone over the
     // process lifetime, so they cover every request of every engine.
     let h = omq_chase::global_hom_snapshot();
@@ -194,20 +169,18 @@ pub fn table(engines: &[Engine]) -> Vec<Stat> {
     // In-flight request coalescing: followers answered without a solver
     // run, against the computations that did run. The flat
     // `coalesced_hits` is the headline number CI gates on.
-    for e in engines {
-        let (hits, computations) = e.coalescing_stats();
-        t.counter("/coalesced_hits", "omq_coalesced_total", &[], "Requests answered by joining an in-flight computation.", hits);
-        t.counter("/coalescing/computations", "omq_verdict_computations_total", &[], "Underlying solver invocations for contains/equivalent.", computations);
-    }
+    let (hits, computations) = engine.coalescing_stats();
+    t.counter("/coalesced_hits", "omq_coalesced_total", &[], "Requests answered by joining an in-flight computation.", hits);
+    t.counter("/coalescing/computations", "omq_verdict_computations_total", &[], "Underlying solver invocations for contains/equivalent.", computations);
     t.also("/coalesced_hits", "/coalescing/hits");
-    for d in engines.iter().filter_map(Engine::disk_stats) {
+    if let Some(d) = engine.disk_stats() {
         let events = "Persisted artifact tier events.";
         t.counter("/artifact_disk/hits", "omq_artifact_disk_total", &[("event", "hit")], events, d.hits);
         t.counter("/artifact_disk/misses", "omq_artifact_disk_total", &[("event", "miss")], events, d.misses);
         t.counter("/artifact_disk/stores", "omq_artifact_disk_total", &[("event", "store")], events, d.stores);
         t.counter("/artifact_disk/errors", "omq_artifact_disk_total", &[("event", "error")], events, d.errors);
     }
-    if let Some(rt) = &first.runtime {
+    if let Some(rt) = &engine.runtime {
         t.gauge("/reactor/uptime_s", "omq_reactor_uptime_seconds", &[], "Seconds since the serve front end started.", rt.started.elapsed().as_secs());
         t.gauge("/reactor/connections/live", "omq_connections_live", &[], "Currently open client connections.", rt.connections_live.load(Relaxed) as u64);
         t.gauge("/reactor/connections/peak", "omq_connections_peak", &[], "High-water mark of concurrently open connections.", rt.connections_peak.load(Relaxed) as u64);
@@ -217,17 +190,15 @@ pub fn table(engines: &[Engine]) -> Vec<Stat> {
         t.counter("/reactor/shed", "omq_reactor_shed_total", &[], "Requests answered with a structured shed error.", rt.shed.load(Relaxed));
         t.gauge("/reactor/queue_depth", "omq_admission_queue_depth", &[], "Requests admitted but not yet finished.", rt.admission.depth() as u64);
         t.gauge("/reactor/watermark", "omq_admission_watermark", &[], "Queue-depth shedding watermark (0 = shedding off).", rt.admission.watermark() as u64);
-        for (i, n) in rt.shard_requests.iter().enumerate() {
-            t.counter(format!("/reactor/shards/{i}"), "omq_shard_requests_total", &[("shard", &i.to_string())], "Requests routed to each shard.", n.load(Relaxed));
-        }
+        t.counter("/reactor/too_large", "omq_reactor_too_large_total", &[], "Connections refused for buffering too many bytes without a complete batch.", rt.too_large.load(Relaxed));
     }
     t.0
 }
 
 /// The `stats` op's fields: every table entry at each of its pointers.
-fn stats_fields(engines: &[Engine]) -> Vec<(String, Json)> {
+fn stats_fields(engine: &Engine) -> Vec<(String, Json)> {
     let mut root = Json::Obj(Vec::new());
-    for stat in table(engines) {
+    for stat in table(engine) {
         for pointer in &stat.pointers {
             let path: Vec<&str> = pointer.split('/').skip(1).collect();
             insert(&mut root, &path, stat.json());
@@ -281,14 +252,12 @@ fn insert(node: &mut Json, path: &[&str], value: Json) {
     insert(child, rest, value);
 }
 
-/// The Prometheus text exposition of the engines behind one front end:
-/// the shared registry's and flight recorder's own series, plus every
-/// table entry.
-pub fn metrics_text(engines: &[Engine]) -> String {
-    let first = &engines[0];
-    let mut samples = first.metrics().samples();
-    samples.extend(first.flight().samples());
-    samples.extend(table(engines).into_iter().map(|s| Sample {
+/// The engine's Prometheus text exposition: its metrics registry's and
+/// flight recorder's own series, plus every table entry.
+pub fn metrics_text(engine: &Engine) -> String {
+    let mut samples = engine.metrics().samples();
+    samples.extend(engine.flight().samples());
+    samples.extend(table(engine).into_iter().map(|s| Sample {
         name: s.name,
         help: s.help,
         labels: s.labels,
@@ -297,42 +266,42 @@ pub fn metrics_text(engines: &[Engine]) -> String {
     render_prometheus(&samples)
 }
 
-/// The fields of a `stats` or `metrics` response over `engines`.
-pub(crate) fn op_fields(op: &Op, engines: &[Engine]) -> Vec<(String, Json)> {
+/// The fields of a `stats` or `metrics` response.
+pub(crate) fn op_fields(op: &Op, engine: &Engine) -> Vec<(String, Json)> {
     match op {
         Op::Metrics => vec![
             (
                 "content_type".to_owned(),
                 Json::str(omq_obs::metrics::PROMETHEUS_CONTENT_TYPE),
             ),
-            ("exposition".to_owned(), Json::str(metrics_text(engines))),
+            ("exposition".to_owned(), Json::str(metrics_text(engine))),
         ],
-        _ => stats_fields(engines),
+        _ => stats_fields(engine),
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::engine::EngineConfig;
-    use crate::shard::ShardedEngine;
+    use crate::reactor::RuntimeStats;
 
     #[test]
     fn reactor_block_reaches_both_surfaces() {
-        let sharded = ShardedEngine::new(EngineConfig::default(), 3, 16);
-        let keys: Vec<String> = stats_fields(sharded.engines())
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
+        let mut engine = Engine::new(EngineConfig::default());
+        let rt = Arc::new(RuntimeStats::new(16));
+        engine.set_runtime_stats(Arc::clone(&rt));
+        let keys: Vec<String> = stats_fields(&engine).into_iter().map(|(k, _)| k).collect();
         // Before any request has finished the latency block is empty, not
         // absent.
         assert_eq!(keys[..3], ["registered", "distinct_keys", "latency"]);
-        let rt = sharded.runtime();
         rt.conn_opened();
         rt.record_batch(5);
         rt.record_shed();
-        rt.record_shard(1, 4);
-        let json = Json::Obj(stats_fields(sharded.engines())).to_string();
+        rt.record_too_large();
+        let json = Json::Obj(stats_fields(&engine)).to_string();
         for field in [
             "\"uptime_s\":",
             "\"connections\":{\"live\":1,\"peak\":1,\"accepted\":1}",
@@ -341,14 +310,14 @@ mod tests {
             "\"shed\":1",
             "\"queue_depth\":0",
             "\"watermark\":16",
-            "\"shards\":[0,4,0]",
+            "\"too_large\":1",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");
         }
         rt.conn_closed();
-        let json = Json::Obj(stats_fields(sharded.engines())).to_string();
+        let json = Json::Obj(stats_fields(&engine)).to_string();
         assert!(json.contains("\"live\":0"), "{json}");
-        let text = metrics_text(sharded.engines());
+        let text = metrics_text(&engine);
         for series in [
             "omq_reactor_uptime_seconds ",
             "omq_connections_live 0",
@@ -359,9 +328,7 @@ mod tests {
             "omq_reactor_shed_total 1",
             "omq_admission_queue_depth 0",
             "omq_admission_watermark 16",
-            "omq_shard_requests_total{shard=\"0\"} 0",
-            "omq_shard_requests_total{shard=\"1\"} 4",
-            "omq_shard_requests_total{shard=\"2\"} 0",
+            "omq_reactor_too_large_total 1",
         ] {
             assert!(text.contains(series), "missing {series} in:\n{text}");
         }

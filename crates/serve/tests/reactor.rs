@@ -1,7 +1,8 @@
 //! The nonblocking serve front end, end to end over real sockets:
 //! multiplexed round trips, response ordering under interleaving, a 4×
-//! overload burst the scheduler must survive, and the structured `shed`
-//! answer under admission pressure.
+//! overload burst the scheduler must survive, the structured `shed`
+//! answer under admission pressure, and the structured `too_large`
+//! refusal of a connection that buffers past the read cap.
 
 #![cfg(unix)]
 
@@ -10,28 +11,25 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 use omq_serve::json::{self, Json};
-use omq_serve::{serve_reactor, EngineConfig, ReactorConfig, ShardedEngine};
+use omq_serve::reactor::MAX_PENDING_BYTES;
+use omq_serve::{serve_reactor, Engine, EngineConfig, ReactorConfig, RuntimeStats};
 
 const REGISTER: &str = r#"{"op":"register","name":"lin","program":"P(X) -> exists Y . R(X,Y)\nR(X,Y) -> P(Y)\nq(X) :- R(X,Y), P(Y)","schema":["P","R"],"query":"q"}"#;
 
 /// Boots a reactor on an ephemeral port; returns the address and the
-/// engine (for counter assertions). The reactor thread runs until the
-/// test process exits — it owns only its own sockets.
-fn boot(
-    cfg: EngineConfig,
-    shards: usize,
-    watermark: usize,
-    workers: usize,
-) -> (String, Arc<ShardedEngine>) {
-    let engine = Arc::new(ShardedEngine::new(cfg, shards, watermark));
+/// serve-tier counters (for assertions). The reactor thread runs until
+/// the test process exits — it owns only its own sockets.
+fn boot(cfg: EngineConfig, watermark: usize, workers: usize) -> (String, Arc<RuntimeStats>) {
+    let mut engine = Engine::new(cfg);
+    let runtime = Arc::new(RuntimeStats::new(watermark));
+    engine.set_runtime_stats(Arc::clone(&runtime));
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let runtime = engine.runtime();
-    let server = Arc::clone(&engine);
+    let stats = Arc::clone(&runtime);
     std::thread::spawn(move || {
-        let _ = serve_reactor(server, listener, ReactorConfig { workers }, runtime);
+        let _ = serve_reactor(Arc::new(engine), listener, ReactorConfig { workers }, stats);
     });
-    (addr, engine)
+    (addr, runtime)
 }
 
 /// Sends `batches` (each a slice of request lines) on one connection,
@@ -64,12 +62,11 @@ fn id_of(line: &str) -> Option<u64> {
 
 #[test]
 fn multiplexed_round_trip_preserves_order_and_bytes() {
-    let (addr, _engine) = boot(
+    let (addr, _runtime) = boot(
         EngineConfig {
             threads: 1,
             ..EngineConfig::default()
         },
-        2,
         0,
         2,
     );
@@ -119,7 +116,7 @@ fn multiplexed_round_trip_preserves_order_and_bytes() {
 /// `serve_lines` framing contract, kept by the reactor.
 #[test]
 fn eof_flushes_the_unterminated_batch() {
-    let (addr, _engine) = boot(EngineConfig::default(), 1, 0, 1);
+    let (addr, _runtime) = boot(EngineConfig::default(), 0, 1);
     let mut stream = TcpStream::connect(&addr).unwrap();
     stream
         .write_all(format!("{REGISTER}\n{}", r#"{"id":9,"op":"classify","name":"lin"}"#).as_bytes())
@@ -138,13 +135,12 @@ fn eof_flushes_the_unterminated_batch() {
 /// answers afterwards.
 #[test]
 fn scheduler_survives_a_four_x_overload_burst() {
-    let (addr, engine) = boot(
+    let (addr, runtime) = boot(
         EngineConfig {
             threads: 1,
             cache_capacity: 0,
             ..EngineConfig::default()
         },
-        1,
         8,
         2,
     );
@@ -200,7 +196,7 @@ fn scheduler_survives_a_four_x_overload_burst() {
         "{}",
         after[0]
     );
-    assert_eq!(engine.runtime().shed_total() as usize, shed);
+    assert_eq!(runtime.shed_total() as usize, shed);
 }
 
 /// Deterministic shed: a single worker is pinned down by a big batch, so
@@ -209,13 +205,12 @@ fn scheduler_survives_a_four_x_overload_burst() {
 /// are always admitted.
 #[test]
 fn saturated_queue_sheds_structured_and_admits_diagnostics() {
-    let (addr, engine) = boot(
+    let (addr, runtime) = boot(
         EngineConfig {
             threads: 1,
             cache_capacity: 0,
             ..EngineConfig::default()
         },
-        1,
         4,
         1,
     );
@@ -230,7 +225,7 @@ fn saturated_queue_sheds_structured_and_admits_diagnostics() {
         })
     };
     // Wait until the blocker's batch is actually occupying the queue.
-    while engine.runtime().requests_total() < 97 {
+    while runtime.requests_total() < 97 {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
     let probe = round_trips(
@@ -262,4 +257,43 @@ fn saturated_queue_sheds_structured_and_admits_diagnostics() {
     );
     let lines = blocker.join().unwrap();
     assert_eq!(lines.len(), 96, "the blocking batch is fully answered");
+}
+
+/// A connection that buffers one byte past the read cap without a blank
+/// line gets one structured `too_large` refusal and is closed; the server
+/// still answers a clean request on a second connection.
+#[test]
+fn oversized_unbatched_input_is_refused_and_the_server_goes_on() {
+    let (addr, runtime) = boot(EngineConfig::default(), 0, 1);
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .write_all(&vec![b'x'; MAX_PENDING_BYTES + 1])
+        .unwrap();
+    let mut text = String::new();
+    BufReader::new(stream).read_to_string(&mut text).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 1, "one refusal, then the connection closes");
+    let refusal = json::parse(lines[0]).unwrap();
+    assert_eq!(refusal.get("ok"), Some(&Json::Bool(false)), "{text}");
+    let err = refusal.get("error").expect("structured error");
+    assert_eq!(err.get("kind").and_then(Json::as_str), Some("too_large"));
+    assert_eq!(
+        err.get("limit_bytes").and_then(Json::as_u64),
+        Some(MAX_PENDING_BYTES as u64)
+    );
+    let after = round_trips(
+        &addr,
+        &[&[
+            REGISTER.to_owned(),
+            r#"{"id":2,"op":"contains","lhs":"lin","rhs":"lin"}"#.to_owned(),
+            r#"{"id":3,"op":"stats"}"#.to_owned(),
+        ]],
+    );
+    assert!(
+        after[1].contains(r#""verdict":"contained""#),
+        "{}",
+        after[1]
+    );
+    assert!(after[2].contains(r#""too_large":1"#), "{}", after[2]);
+    assert_eq!(runtime.requests_total(), 3);
 }

@@ -1,13 +1,14 @@
-//! Pins the one-shard `stats` response and the scrape series after a fixed
-//! batch.
+//! Pins the `stats` response and the scrape series after a fixed batch.
 //!
 //! The batch runs on one worker thread, so every counter it produces is
 //! deterministic. The hom-kernel block is process-global, which is why this
 //! file holds a single test: a second test in the same process would add
 //! its own kernel work to the pinned numbers.
 
+use std::sync::Arc;
+
 use omq_serve::json::{self, Json};
-use omq_serve::{parse_request, response_to_json, BatchExecutor, EngineConfig, ShardedEngine};
+use omq_serve::{parse_request, response_to_json, Engine, EngineConfig, RuntimeStats};
 
 const BATCH: &[&str] = &[
     r#"{"id":1,"op":"register","name":"a","program":"P(X) -> R(X)\nq(X) :- R(X)","schema":["P"],"query":"q"}"#,
@@ -28,9 +29,9 @@ const BATCH: &[&str] = &[
     r#"{"id":16,"op":"stats"}"#,
 ];
 
-fn run(executor: &dyn BatchExecutor, lines: &[&str]) -> Vec<String> {
+fn run(engine: &Engine, lines: &[&str]) -> Vec<String> {
     let items: Vec<_> = lines.iter().map(|l| parse_request(l)).collect();
-    executor
+    engine
         .execute_batch(&items)
         .iter()
         .map(|r| response_to_json(r).to_string())
@@ -79,7 +80,7 @@ fn masked_scrape(text: &str) -> Vec<String> {
 /// The `stats` response as the hand-written renderers produced it before
 /// the counter table replaced them: keys, key order and every non-timing
 /// value must stay as they were.
-const EXPECTED_STATS: &str = r#"{"id":16,"ok":true,"registered":5,"distinct_keys":4,"latency":{"serve.assert":{"count":1,"p50_us":null,"p99_us":null,"total_us":null},"serve.contains":{"count":5,"p50_us":null,"p99_us":null,"total_us":null},"serve.equivalent":{"count":1,"p50_us":null,"p99_us":null,"total_us":null},"serve.evaluate":{"count":1,"p50_us":null,"p99_us":null,"total_us":null},"serve.register":{"count":5,"p50_us":null,"p99_us":null,"total_us":null},"serve.retract":{"count":1,"p50_us":null,"p99_us":null,"total_us":null},"serve.snapshot":{"count":1,"p50_us":null,"p99_us":null,"total_us":null}},"rewrite_cache":{"hits":4,"alias_hits":0,"misses":11,"insertions":3,"evictions":0,"entries":3},"verdict_cache":{"hits":2,"alias_hits":1,"misses":4,"insertions":2,"evictions":0,"entries":2},"encoding_cache":{"hits":1,"alias_hits":0,"misses":1,"insertions":1,"evictions":0,"entries":1},"encoding_cache_hits":1,"store":{"stores":1,"asserts":1,"retracts":1,"facts_asserted":2,"facts_retracted":1,"snapshots":1,"compactions":0,"novelty_size":3,"dred_deleted":2,"rederived":0,"incremental_resumes":0,"full_rechases":1,"cone_batches":1,"cone_reuses":0},"threads":1,"cache_capacity":256,"hom_kernel":{"candidates_scanned":48062,"backtracks":862,"homs_found":20645,"plans_compiled":3080,"plan_cache_hits":6380,"prefilter_rejects":0,"plans_reoptimized":0,"est_ratio_le_1":7603,"est_ratio_le_4":0,"est_ratio_gt_4":0,"sketch_build_us":null},"coalesced_hits":0,"coalescing":{"hits":0,"computations":4},"reactor":{"uptime_s":null,"connections":{"live":0,"peak":0,"accepted":0},"batches":0,"requests":0,"shed":0,"queue_depth":0,"watermark":0,"shards":[16]}}"#;
+const EXPECTED_STATS: &str = r#"{"id":16,"ok":true,"registered":5,"distinct_keys":4,"latency":{"serve.assert":{"count":1,"p50_us":null,"p99_us":null,"total_us":null},"serve.contains":{"count":5,"p50_us":null,"p99_us":null,"total_us":null},"serve.equivalent":{"count":1,"p50_us":null,"p99_us":null,"total_us":null},"serve.evaluate":{"count":1,"p50_us":null,"p99_us":null,"total_us":null},"serve.register":{"count":5,"p50_us":null,"p99_us":null,"total_us":null},"serve.retract":{"count":1,"p50_us":null,"p99_us":null,"total_us":null},"serve.snapshot":{"count":1,"p50_us":null,"p99_us":null,"total_us":null}},"rewrite_cache":{"hits":4,"alias_hits":0,"misses":11,"insertions":3,"evictions":0,"entries":3},"verdict_cache":{"hits":2,"alias_hits":1,"misses":4,"insertions":2,"evictions":0,"entries":2},"encoding_cache":{"hits":1,"alias_hits":0,"misses":1,"insertions":1,"evictions":0,"entries":1},"encoding_cache_hits":1,"store":{"stores":1,"asserts":1,"retracts":1,"facts_asserted":2,"facts_retracted":1,"snapshots":1,"compactions":0,"novelty_size":3,"dred_deleted":2,"rederived":0,"incremental_resumes":0,"full_rechases":1,"cone_batches":1,"cone_reuses":0},"threads":1,"cache_capacity":256,"hom_kernel":{"candidates_scanned":48062,"backtracks":862,"homs_found":20645,"plans_compiled":3080,"plan_cache_hits":6380,"prefilter_rejects":0,"plans_reoptimized":0,"est_ratio_le_1":7603,"est_ratio_le_4":0,"est_ratio_gt_4":0,"sketch_build_us":null},"coalesced_hits":0,"coalescing":{"hits":0,"computations":4},"reactor":{"uptime_s":null,"connections":{"live":0,"peak":0,"accepted":0},"batches":0,"requests":0,"shed":0,"queue_depth":0,"watermark":0,"too_large":0}}"#;
 
 /// Every scrape line those renderers produced (bucket lines, whose set
 /// depends on timing, left out). Series may be added, none may change.
@@ -158,6 +159,9 @@ const EXPECTED_SCRAPE: &[&str] = &[
     r#"# HELP omq_reactor_shed_total Requests answered with a structured shed error."#,
     r#"# TYPE omq_reactor_shed_total counter"#,
     r#"omq_reactor_shed_total 0"#,
+    r#"# HELP omq_reactor_too_large_total Connections refused for buffering too many bytes without a complete batch."#,
+    r#"# TYPE omq_reactor_too_large_total counter"#,
+    r#"omq_reactor_too_large_total 0"#,
     r#"# HELP omq_registered Registered OMQ names."#,
     r#"# TYPE omq_registered gauge"#,
     r#"omq_registered 5"#,
@@ -213,9 +217,6 @@ const EXPECTED_SCRAPE: &[&str] = &[
     r#"omq_requests_total{op="serve.retract"} 1"#,
     r#"omq_requests_total{op="serve.snapshot"} 1"#,
     r#"omq_requests_total{op="serve.stats"} 1"#,
-    r#"# HELP omq_shard_requests_total Requests routed to each shard."#,
-    r#"# TYPE omq_shard_requests_total counter"#,
-    r#"omq_shard_requests_total{shard="0"} 17"#,
     r#"# HELP omq_shed_slo_burn_ratio Rolling-window fraction of offered requests that were shed."#,
     r#"# TYPE omq_shed_slo_burn_ratio gauge"#,
     r#"omq_shed_slo_burn_ratio 0"#,
@@ -255,15 +256,12 @@ const EXPECTED_SCRAPE: &[&str] = &[
 ];
 
 #[test]
-fn one_shard_stats_and_scrape_keep_their_shape() {
-    let engine = ShardedEngine::new(
-        EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        },
-        1,
-        0,
-    );
+fn stats_and_scrape_keep_their_shape() {
+    let mut engine = Engine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
+    engine.set_runtime_stats(Arc::new(RuntimeStats::new(0)));
     let out = run(&engine, BATCH);
     let mut stats = json::parse(out.last().unwrap()).unwrap();
     mask_timing(&mut stats);

@@ -1,21 +1,21 @@
-//! Surface parity of the counter table, on one shard and on three:
+//! Surface parity of the counter table:
 //!
 //! * every table entry reads the same in the `stats` op (at each of its
 //!   JSON Pointers) and in the scrape (under its name and labels);
-//! * the three-shard `stats` cache and store blocks are the sums of the
-//!   shards' own counters, not shard 0's share.
+//! * the `stats` cache and store blocks read the engine's own counters;
+//! * every scrape series (name and labels) is produced once across the
+//!   table, the metrics registry and the flight recorder, so the scrape
+//!   never has to fold two values into one line.
 //!
 //! The hom-kernel entries are process-global, which is why this file holds
 //! a single test: a second test in the same process could move them
 //! between the `stats` and the `metrics` request.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use omq_obs::metrics::Value;
 use omq_serve::json::{self, Json};
-use omq_serve::{
-    parse_request, response_to_json, stats, BatchExecutor, EngineConfig, ShardedEngine,
-};
+use omq_serve::{parse_request, response_to_json, stats, Engine, EngineConfig, RuntimeStats};
 
 /// Registers (one an alias), a verdict miss, a verdict hit, an alias hit,
 /// a guarded contains, and an assert and a retract on a store.
@@ -37,9 +37,9 @@ const WORK: &[&str] = &[
 
 const SURFACES: &[&str] = &[r#"{"id":20,"op":"stats"}"#, r#"{"id":21,"op":"metrics"}"#];
 
-fn run(executor: &dyn BatchExecutor, lines: &[&str]) -> Vec<Json> {
+fn run(engine: &Engine, lines: &[&str]) -> Vec<Json> {
     let items: Vec<_> = lines.iter().map(|l| parse_request(l)).collect();
-    executor
+    engine
         .execute_batch(&items)
         .iter()
         .map(|r| json::parse(&response_to_json(r).to_string()).unwrap())
@@ -81,11 +81,11 @@ fn num(root: &Json, pointer: &str) -> f64 {
         .unwrap_or_else(|| panic!("stats has no number at {pointer}"))
 }
 
-fn assert_surfaces_agree(sharded: &ShardedEngine) {
-    let out = run(sharded, SURFACES);
+fn assert_surfaces_agree(engine: &Engine) {
+    let out = run(engine, SURFACES);
     let (stats, scrape) = (&out[0], &out[1]);
     let scrape = scrape_values(scrape.get("exposition").and_then(Json::as_str).unwrap());
-    let table = stats::table(sharded.engines());
+    let table = stats::table(engine);
     for stat in &table {
         let scraped = |suffix: &str| {
             let key = series(stat.name, suffix, &stat.labels);
@@ -115,87 +115,68 @@ fn assert_surfaces_agree(sharded: &ShardedEngine) {
             }
         }
     }
-    // Process totals: every shard's share, summed.
-    let engines = sharded.engines();
-    for (tier, pick) in [("rewrite", 0), ("verdict", 1), ("encoding", 2)] {
-        let mut sum = [0usize; 6];
-        for e in engines {
-            let c = e.cache_stats();
-            let c = [c.0, c.1, c.2][pick];
-            let fields = [
-                c.hits,
-                c.alias_hits,
-                c.misses,
-                c.insertions,
-                c.evictions,
-                c.entries,
-            ];
-            for (slot, v) in sum.iter_mut().zip(fields) {
-                *slot += v;
-            }
-        }
-        let names = [
-            "hits",
-            "alias_hits",
-            "misses",
-            "insertions",
-            "evictions",
-            "entries",
+    // The cache and store blocks read the engine's own counters.
+    let (rw, vd, enc) = engine.cache_stats();
+    for (tier, c) in [("rewrite", rw), ("verdict", vd), ("encoding", enc)] {
+        let fields = [
+            ("hits", c.hits),
+            ("alias_hits", c.alias_hits),
+            ("misses", c.misses),
+            ("insertions", c.insertions),
+            ("evictions", c.evictions),
+            ("entries", c.entries),
         ];
-        for (field, v) in names.iter().zip(sum) {
+        for (field, v) in fields {
             let pointer = format!("/{tier}_cache/{field}");
             assert_eq!(num(stats, &pointer), v as f64, "{pointer}");
         }
     }
-    let (mut asserts, mut retracts, mut facts, mut stores) = (0, 0, 0, 0);
-    for e in engines {
-        let (s, n) = e.store_stats();
-        asserts += s.asserts;
-        retracts += s.retracts;
-        facts += s.facts_asserted;
-        stores += n;
-    }
-    assert_eq!(num(stats, "/store/asserts"), asserts as f64);
-    assert_eq!(num(stats, "/store/retracts"), retracts as f64);
-    assert_eq!(num(stats, "/store/facts_asserted"), facts as f64);
+    let (s, stores) = engine.store_stats();
+    assert_eq!(num(stats, "/store/asserts"), s.asserts as f64);
+    assert_eq!(num(stats, "/store/retracts"), s.retracts as f64);
+    assert_eq!(num(stats, "/store/facts_asserted"), s.facts_asserted as f64);
     assert_eq!(num(stats, "/store/stores"), stores as f64);
-    assert_eq!((asserts, retracts, facts, stores), (2, 1, 3, 2));
-    // Registry replicas count once, however many shards hold them.
+    assert_eq!(
+        (s.asserts, s.retracts, s.facts_asserted, stores),
+        (2, 1, 3, 2)
+    );
     assert_eq!(num(stats, "/registered"), 5.0);
+}
+
+/// Every `(name, labels)` pair the scrape renders is produced by exactly
+/// one entry of the table, the metrics registry or the flight recorder.
+fn assert_series_unique(engine: &Engine) {
+    let table = stats::table(engine).into_iter().map(|s| (s.name, s.labels));
+    let registry = engine.metrics().samples().into_iter();
+    let flight = engine.flight().samples().into_iter();
+    let mut seen = BTreeSet::new();
+    for (name, labels) in table.chain(registry.chain(flight).map(|s| (s.name, s.labels))) {
+        assert!(
+            seen.insert((name, labels.clone())),
+            "series {name}{labels:?} is produced twice"
+        );
+    }
 }
 
 #[test]
 fn every_table_entry_reads_the_same_on_both_surfaces() {
-    for shards in [1, 3] {
-        let dir =
-            std::env::temp_dir().join(format!("omq-surfaces-{}-{shards}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let sharded = ShardedEngine::new(
-            EngineConfig {
-                cache_dir: Some(dir.clone()),
-                ..EngineConfig::default()
-            },
-            shards,
-            0,
-        );
-        let out = run(&sharded, WORK);
-        assert!(
-            out.iter().all(|r| r.get("ok") == Some(&Json::Bool(true))),
-            "{out:?}"
-        );
-        // The first pair brings `serve.stats` and `serve.metrics` into the
-        // latency block; the second is compared.
-        let _ = run(&sharded, SURFACES);
-        assert_surfaces_agree(&sharded);
-        if shards > 1 {
-            // The sums above only mean something if the work is spread.
-            let busy = sharded
-                .engines()
-                .iter()
-                .filter(|e| e.cache_stats().1.misses > 0 || e.store_stats().1 > 0)
-                .count();
-            assert!(busy >= 2, "work landed on {busy} shard(s)");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let dir = std::env::temp_dir().join(format!("omq-surfaces-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut engine = Engine::new(EngineConfig {
+        cache_dir: Some(dir.clone()),
+        ..EngineConfig::default()
+    });
+    // The reactor block is part of the table too.
+    engine.set_runtime_stats(std::sync::Arc::new(RuntimeStats::new(0)));
+    let out = run(&engine, WORK);
+    assert!(
+        out.iter().all(|r| r.get("ok") == Some(&Json::Bool(true))),
+        "{out:?}"
+    );
+    // The first pair brings `serve.stats` and `serve.metrics` into the
+    // latency block; the second is compared.
+    let _ = run(&engine, SURFACES);
+    assert_surfaces_agree(&engine);
+    assert_series_unique(&engine);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,8 +4,8 @@
 //!   request, cache, coalescing, store, and latency taxonomies;
 //! * every request is recorded once, in the metrics registry: the
 //!   `stats` op's `latency` block and the scrape's `omq_requests_total`
-//!   agree per op, on one shard and on three, for batched retract runs,
-//!   broadcast registers and the `metrics` op itself alike;
+//!   agree per op, for batched retract runs, registers and the `metrics`
+//!   op itself alike;
 //! * the exposition is deterministic across byte-identical runs once
 //!   timing-valued lines (`_us` histograms/quantiles, uptime, tail-based
 //!   flight retention, process-global hom counters) are set aside;
@@ -18,14 +18,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use omq_serve::{
-    parse_request, response_to_json, BatchExecutor, Engine, EngineConfig, Json, RuntimeStats,
-    ShardedEngine,
-};
+use omq_serve::{parse_request, response_to_json, Engine, EngineConfig, Json, RuntimeStats};
 
-fn run(executor: &dyn BatchExecutor, lines: &[&str]) -> Vec<String> {
+fn run(engine: &Engine, lines: &[&str]) -> Vec<String> {
     let items: Vec<_> = lines.iter().map(|l| parse_request(l)).collect();
-    executor
+    engine
         .execute_batch(&items)
         .iter()
         .map(|r| response_to_json(r).to_string())
@@ -56,8 +53,8 @@ fn requests_total(text: &str) -> BTreeMap<String, u64> {
 }
 
 /// `stats.latency[op].count` per op.
-fn latency_counts(executor: &dyn BatchExecutor) -> BTreeMap<String, u64> {
-    let out = run(executor, &[r#"{"id":8,"op":"stats"}"#]);
+fn latency_counts(engine: &Engine) -> BTreeMap<String, u64> {
+    let out = run(engine, &[r#"{"id":8,"op":"stats"}"#]);
     let stats = omq_serve::json::parse(&out[0]).unwrap();
     let Some(Json::Obj(ops)) = stats.get("latency") else {
         panic!("stats has no latency block: {}", out[0]);
@@ -71,9 +68,9 @@ fn latency_counts(executor: &dyn BatchExecutor) -> BTreeMap<String, u64> {
 /// scrape, taken second, alone has seen the `stats` request itself), and
 /// a second scrape counts the first `metrics` request exactly once.
 /// Returns the per-op counts.
-fn assert_one_latency_record(executor: &dyn BatchExecutor) -> BTreeMap<String, u64> {
-    let latency = latency_counts(executor);
-    let text = exposition_of(executor);
+fn assert_one_latency_record(engine: &Engine) -> BTreeMap<String, u64> {
+    let latency = latency_counts(engine);
+    let text = exposition_of(engine);
     let mut scraped = requests_total(&text);
     *scraped.get_mut("serve.stats").expect("stats was recorded") -= 1;
     scraped.retain(|_, n| *n > 0);
@@ -83,7 +80,7 @@ fn assert_one_latency_record(executor: &dyn BatchExecutor) -> BTreeMap<String, u
         1,
         "one per-op latency histogram family: {text}"
     );
-    let again = requests_total(&exposition_of(executor));
+    let again = requests_total(&exposition_of(engine));
     assert_eq!(
         again.get("serve.metrics"),
         Some(&1),
@@ -92,8 +89,8 @@ fn assert_one_latency_record(executor: &dyn BatchExecutor) -> BTreeMap<String, u
     scraped
 }
 
-fn exposition_of(executor: &dyn BatchExecutor) -> String {
-    let out = run(executor, &[r#"{"id":9,"op":"metrics"}"#]);
+fn exposition_of(engine: &Engine) -> String {
+    let out = run(engine, &[r#"{"id":9,"op":"metrics"}"#]);
     let parsed = omq_serve::json::parse(&out[0]).unwrap();
     assert_eq!(
         parsed.get("content_type").and_then(Json::as_str),
@@ -176,7 +173,7 @@ fn metrics_exposition_is_deterministic_modulo_timing() {
 }
 
 #[test]
-fn sharded_scrape_folds_every_shard_and_counts_occupancy() {
+fn every_request_is_recorded_once() {
     let expected: BTreeMap<String, u64> = [
         ("serve.assert", 1),
         ("serve.contains", 2),
@@ -187,44 +184,9 @@ fn sharded_scrape_folds_every_shard_and_counts_occupancy() {
     .into_iter()
     .map(|(op, n)| (op.to_owned(), n))
     .collect();
-    for shards in [1, 3] {
-        let sharded = ShardedEngine::new(EngineConfig::default(), shards, 0);
-        let _ = run(&sharded, WORK);
-        // A broadcast register is one request, however many replicas
-        // apply it.
-        assert_eq!(
-            assert_one_latency_record(&sharded),
-            expected,
-            "{shards} shards"
-        );
-    }
-    let sharded = ShardedEngine::new(EngineConfig::default(), 3, 0);
-    let _ = run(&sharded, WORK);
-    let text = exposition_of(&sharded);
-    assert!(
-        text.contains("omq_requests_total{op=\"serve.register\"} 2"),
-        "{text}"
-    );
-    // Per-shard registry replicas must not multiply the size gauges.
-    assert!(text.contains("omq_registered 2"), "{text}");
-    // Reactor occupancy appears per shard.
-    for shard in ["0", "1", "2"] {
-        assert!(
-            text.contains(&format!("omq_shard_requests_total{{shard=\"{shard}\"}}")),
-            "missing shard {shard} in:\n{text}"
-        );
-    }
-    // Contains totals fold across shards into one series.
-    assert!(
-        text.contains("omq_requests_total{op=\"serve.contains\"} 2"),
-        "{text}"
-    );
-    assert_eq!(
-        text.matches("omq_requests_total{op=\"serve.contains\"}")
-            .count(),
-        1,
-        "per-shard series must merge, not repeat: {text}"
-    );
+    let engine = Engine::new(EngineConfig::default());
+    let _ = run(&engine, WORK);
+    assert_eq!(assert_one_latency_record(&engine), expected);
 }
 
 #[test]
@@ -259,19 +221,19 @@ fn retract_runs_reach_the_scrape() {
 
 #[test]
 fn trace_dump_retains_timed_out_and_shed_requests() {
-    let sharded = ShardedEngine::new(EngineConfig::default(), 1, 0);
+    let engine = Engine::new(EngineConfig::default());
     let _ = run(
-        &sharded,
+        &engine,
         &[
             WORK[0],
             r#"{"id":10,"op":"contains","lhs":"a","rhs":"a","deadline_ms":0}"#,
         ],
     );
     // Shedding happens at the reactor's admission gate, before the
-    // executor; replicate exactly what worker_loop does on a saturated
+    // engine; do exactly what worker_loop does on a saturated
     // queue so the dump shows the turned-away request too.
-    sharded.runtime().record_shed_request(777, "serve.contains");
-    let out = run(&sharded, &[r#"{"id":11,"op":"trace_dump"}"#]);
+    RuntimeStats::new(0).record_shed_request(&engine, 777, "serve.contains");
+    let out = run(&engine, &[r#"{"id":11,"op":"trace_dump"}"#]);
     let parsed = omq_serve::json::parse(&out[0]).unwrap();
     assert!(parsed.get("slow_threshold_us").is_some());
     let retained = parsed
@@ -348,7 +310,7 @@ fn exporter_answers_http_scrapes() {
     use std::net::{TcpListener, TcpStream};
 
     let engine = Arc::new(Engine::new(EngineConfig::default()));
-    let _ = run(&*engine, WORK);
+    let _ = run(&engine, WORK);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let _exporter = omq_serve::spawn_metrics_exporter(Arc::clone(&engine), listener);
@@ -371,11 +333,12 @@ fn exporter_answers_http_scrapes() {
 
 #[test]
 fn runtime_shed_accounting_reaches_the_scrape() {
-    let sharded = ShardedEngine::new(EngineConfig::default(), 1, 0);
-    let runtime: Arc<RuntimeStats> = sharded.runtime();
-    runtime.record_shed_request(1, "serve.contains");
-    runtime.record_shed_request(2, "serve.evaluate");
-    let text = exposition_of(&sharded);
+    let mut engine = Engine::new(EngineConfig::default());
+    let runtime = Arc::new(RuntimeStats::new(0));
+    engine.set_runtime_stats(Arc::clone(&runtime));
+    runtime.record_shed_request(&engine, 1, "serve.contains");
+    runtime.record_shed_request(&engine, 2, "serve.evaluate");
+    let text = exposition_of(&engine);
     assert!(text.contains("omq_requests_shed_total 2"), "{text}");
     assert!(text.contains("omq_reactor_shed_total 2"), "{text}");
 }

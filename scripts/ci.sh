@@ -286,12 +286,12 @@ echo "$COAL_OUT" | jq -s -e '
     exit 1
 }
 
-echo "==> serve sharded stats smoke (--shards 3: stats and scrape agree, metrics counted once)"
-# With three shards, `stats` and `metrics` are answered by the front end
-# from one counter table folded over every shard. The verdict-cache hits
-# `stats` reports must equal the scrape's process total, and the second
-# exposition must count the first `metrics` request exactly once.
-SHARD_OUT=$(printf '%s\n' \
+echo "==> serve stats smoke (stats and scrape agree, metrics counted once)"
+# `stats` and `metrics` are rendered from one counter table. The
+# verdict-cache hits `stats` reports must equal the scrape's value, and
+# the second exposition must count the first `metrics` request exactly
+# once.
+STATS_OUT=$(printf '%s\n' \
   '{"id":1,"op":"register","name":"a","program":"P(X) -> R(X)\nq(X) :- R(X)","schema":["P"],"query":"q"}' \
   '{"id":2,"op":"register","name":"b","program":"q(X) :- P(X)","schema":["P"],"query":"q"}' \
   '{"id":3,"op":"contains","lhs":"a","rhs":"b"}' \
@@ -300,8 +300,8 @@ SHARD_OUT=$(printf '%s\n' \
   '{"id":6,"op":"stats"}' \
   '{"id":7,"op":"metrics"}' \
   '{"id":8,"op":"metrics"}' \
-  | ./target/release/omq-serve --shards 3)
-echo "$SHARD_OUT" | jq -s -e '
+  | ./target/release/omq-serve)
+echo "$STATS_OUT" | jq -s -e '
     def series($name): .exposition | split("\n")
         | map(select(startswith($name + " "))) | .[0] | split(" ") | .[1] | tonumber;
     length == 8
@@ -311,8 +311,8 @@ echo "$SHARD_OUT" | jq -s -e '
     and (.[5].verdict_cache.hits == (.[7] | series("omq_cache_hits_total{cache=\"verdict\"}")))
     and ((.[7] | series("omq_requests_total{op=\"serve.metrics\"}")) == 1)
 ' >/dev/null || {
-    echo "serve sharded stats smoke failed; responses were:" >&2
-    echo "$SHARD_OUT" >&2
+    echo "serve stats smoke failed; responses were:" >&2
+    echo "$STATS_OUT" >&2
     exit 1
 }
 
@@ -375,7 +375,7 @@ echo "$SHED_LINE" | jq -e '
 }
 echo "$SHED_STATS" | jq -e '
     .ok and .reactor.shed >= 1 and .reactor.watermark == 4
-    and .reactor.connections.peak >= 2 and (.reactor.shards | length == 1)
+    and .reactor.connections.peak >= 2
 ' >/dev/null || {
     echo "serve overload smoke: stats lost the reactor block: $SHED_STATS" >&2
     exit 1
